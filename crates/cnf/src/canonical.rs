@@ -21,6 +21,11 @@
 //!    by a variable renaming and clause/literal permutations map to the
 //!    *same* reduced formula and therefore the same fingerprint. A verdict
 //!    cache keyed this way answers renamed resubmissions without a solve.
+//!    Refinement runs over flat CSR incidence arrays with reused signature
+//!    buffers and stops once the coloring is discrete; the tie-break search
+//!    gives up as soon as a lower bound on its leaf count passes the budget.
+//!    The output is pinned bit for bit to a reference implementation by
+//!    `tests/canonical_oracle.rs`.
 
 use crate::assignment::Assignment;
 use crate::clause::Clause;
@@ -28,11 +33,14 @@ use crate::formula::CnfFormula;
 use crate::simplify::simplify;
 use crate::var::{Literal, Variable};
 
-/// Leaf budget of the individualize-and-refine tie-break search: how many
-/// complete candidate orderings [`canonicalize`] may encode before falling
-/// back to the deterministic (but not renaming-invariant) input-order
-/// tie-break. Highly symmetric formulas are the only way to exceed it, and
-/// the fallback only costs cache hit rate, never correctness.
+/// Leaf budget of the individualize-and-refine tie-break search: the most
+/// leaves (complete candidate orderings) its tree may have before
+/// [`canonicalize`] falls back to the deterministic (but not
+/// renaming-invariant) input-order tie-break. A tree past the budget is
+/// usually recognised from lower bounds on its subtrees long before its
+/// leaves are reached, and no leaf is encoded until the tree is known to
+/// fit. Highly symmetric formulas are the only way to exceed it, and the
+/// fallback only costs cache hit rate, never correctness.
 const CANONICAL_LEAF_BUDGET: usize = 64;
 
 /// Returns a deterministic, idempotent normal form of `formula`: literals
@@ -213,7 +221,12 @@ pub fn preprocess(formula: &CnfFormula) -> Preprocessed {
     }
     // Literal removal can leave equal clauses behind; normalize again so the
     // canonical form never depends on the order simplification visited them.
-    let residual = normalize(&residual);
+    // With no literal fixed, the residual is the normalized input unchanged.
+    let residual = if simplified.fixed.is_empty() {
+        residual
+    } else {
+        normalize(&residual)
+    };
     let (reduced, kept) = canonicalize(&residual);
     report.reduced_vars = reduced.num_vars();
     report.reduced_clauses = reduced.num_clauses();
@@ -244,6 +257,27 @@ pub fn preprocess(formula: &CnfFormula) -> Preprocessed {
 /// produce the *same* canonical formula. Beyond it (pathologically symmetric
 /// inputs), the tie-break degrades to input order — still deterministic,
 /// merely not renaming-invariant.
+///
+/// The incidence structure lives in flat CSR arrays (one array plus start
+/// offsets): clause literals as `2·var + phase`, variable occurrences as
+/// `2·clause + phase`. Each refinement round writes signatures into reused
+/// `u64` buffers as `color << 1 | phase`, which sorts exactly like the
+/// `(color, phase)` pair, and ranks them by sorting their indices, keyed
+/// by each signature's first two words.
+/// Refinement stops as soon as the coloring is discrete, because one more
+/// round would return the same colors. The search refines every child of a
+/// node before it descends, and a child whose branching class has `s`
+/// variables has at least `s` leaves. So once the leaves found plus these
+/// lower bounds for the unexplored subtrees exceed the leaf budget, the
+/// whole tree is known to exceed it and the search stops. Leaves are encoded
+/// only after the whole tree is known to fit; the winner is the first strict
+/// minimum in depth-first order.
+///
+/// The result is bit-identical, for every input, to the straightforward
+/// implementation that refines each child just before descending and
+/// encodes every leaf it meets: `crates/cnf/tests/canonical_oracle.rs`
+/// keeps that implementation and checks the two agree, including on which
+/// inputs fall back.
 pub fn canonicalize(formula: &CnfFormula) -> (CnfFormula, Vec<Variable>) {
     let vars = formula.occurring_variables();
     if vars.is_empty() {
@@ -253,29 +287,14 @@ pub fn canonicalize(formula: &CnfFormula) -> (CnfFormula, Vec<Variable>) {
     for (i, var) in vars.iter().enumerate() {
         local[var.index()] = i;
     }
-    // Clauses as (local var, phase) pairs.
-    let clauses: Vec<Vec<(usize, bool)>> = formula
-        .iter()
-        .map(|clause| {
-            clause
-                .iter()
-                .map(|lit| (local[lit.variable().index()], lit.phase()))
-                .collect()
-        })
-        .collect();
-    let mut occurrences: Vec<Vec<(usize, bool)>> = vec![Vec::new(); vars.len()];
-    for (c, clause) in clauses.iter().enumerate() {
-        for &(v, phase) in clause {
-            occurrences[v].push((c, phase));
-        }
-    }
-    let colors = refine(&clauses, &occurrences, vec![0; vars.len()]);
-    let order = if distinct(&colors) == vars.len() {
+    let mut incidence = Incidence::new(formula, &local, vars.len());
+    let mut colors = vec![0; vars.len()];
+    let classes = incidence.refine(&mut colors);
+    let order = if classes == vars.len() {
         order_by_color(&colors)
     } else {
-        let mut budget = CANONICAL_LEAF_BUDGET;
-        match lex_min_order(&clauses, &occurrences, &colors, &mut budget) {
-            Some((_, order)) => order,
+        match incidence.lex_min_leaf(&colors) {
+            Some(leaf) => order_by_color(&leaf),
             // Budget exhausted: deterministic fallback by (color, input
             // index). Loses renaming invariance, never correctness.
             None => order_by_color(&colors),
@@ -286,12 +305,14 @@ pub fn canonicalize(formula: &CnfFormula) -> (CnfFormula, Vec<Variable>) {
     for (new, &old_local) in order.iter().enumerate() {
         rename[old_local] = new;
     }
-    let renamed: Vec<Clause> = clauses
+    let renamed: Vec<Clause> = formula
         .iter()
         .map(|clause| {
             clause
                 .iter()
-                .map(|&(v, phase)| Variable::new(rename[v]).literal(phase))
+                .map(|lit| {
+                    Variable::new(rename[local[lit.variable().index()]]).literal(lit.phase())
+                })
                 .collect()
         })
         .collect();
@@ -324,14 +345,6 @@ pub fn fingerprint(formula: &CnfFormula) -> u64 {
     hash
 }
 
-/// Number of distinct values in a color vector.
-fn distinct(colors: &[usize]) -> usize {
-    let mut seen: Vec<usize> = colors.to_vec();
-    seen.sort_unstable();
-    seen.dedup();
-    seen.len()
-}
-
 /// Stable variable order sorted by (color, input index).
 fn order_by_color(colors: &[usize]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..colors.len()).collect();
@@ -339,143 +352,288 @@ fn order_by_color(colors: &[usize]) -> Vec<usize> {
     order
 }
 
-/// One round of signature refinement, iterated to fixpoint: clause colors
-/// from the multiset of (variable color, phase) pairs, then variable colors
-/// from the old color plus the multiset of (clause color, phase) pairs. Both
-/// ranking steps use sorted signatures, so the result is invariant under any
-/// renaming of variables or reordering of clauses and literals.
-fn refine(
-    clauses: &[Vec<(usize, bool)>],
-    occurrences: &[Vec<(usize, bool)>],
-    mut colors: Vec<usize>,
-) -> Vec<usize> {
-    let mut classes = distinct(&colors);
-    loop {
-        // Clause signatures → dense clause colors.
-        let mut clause_sigs: Vec<Vec<(usize, bool)>> = clauses
-            .iter()
-            .map(|clause| {
-                let mut sig: Vec<(usize, bool)> = clause
-                    .iter()
-                    .map(|&(v, phase)| (colors[v], phase))
-                    .collect();
-                sig.sort_unstable();
-                sig
-            })
-            .collect();
-        let clause_colors = rank(&mut clause_sigs);
-        // Variable signatures → dense variable colors.
-        let mut var_sigs: Vec<(usize, Vec<(usize, bool)>)> = occurrences
-            .iter()
-            .enumerate()
-            .map(|(v, occ)| {
-                let mut sig: Vec<(usize, bool)> = occ
-                    .iter()
-                    .map(|&(c, phase)| (clause_colors[c], phase))
-                    .collect();
-                sig.sort_unstable();
-                (colors[v], sig)
-            })
-            .collect();
-        colors = rank(&mut var_sigs);
-        let refined = distinct(&colors);
-        if refined == classes {
-            return colors;
+/// `color << 1 | phase`: orders exactly like the `(color, phase)` pair.
+fn signature(color: usize, phase: usize) -> u64 {
+    ((color as u64) << 1) | phase as u64
+}
+
+/// The variable–clause incidence structure of a formula over its occurring
+/// variables (renumbered densely), in flat CSR arrays, plus the signature
+/// buffers refinement reuses from round to round.
+struct Incidence {
+    /// Clause `c`'s literals as `2·var + phase` (phase 1 is positive):
+    /// `lits[lit_start[c]..lit_start[c + 1]]`.
+    lits: Vec<usize>,
+    lit_start: Vec<usize>,
+    /// Variable `v`'s occurrences as `2·clause + phase`:
+    /// `occs[occ_start[v]..occ_start[v + 1]]`.
+    occs: Vec<usize>,
+    occ_start: Vec<usize>,
+    /// Clause signatures, laid out like `lits`.
+    clause_sigs: Vec<u64>,
+    clause_colors: Vec<usize>,
+    /// Variable `v`'s signature at `occ_start[v] + v..occ_start[v + 1] + v + 1`:
+    /// its current color, then its occurrences' signatures.
+    var_sigs: Vec<u64>,
+    /// Scratch for [`dense_rank`].
+    keyed: Vec<(u128, usize)>,
+}
+
+impl Incidence {
+    /// Builds the incidence structure; `local` maps each occurring variable
+    /// of `formula` to its dense index below `num_local`.
+    fn new(formula: &CnfFormula, local: &[usize], num_local: usize) -> Self {
+        let mut lits = Vec::new();
+        let mut lit_start = vec![0];
+        let mut occ_start = vec![0usize; num_local + 1];
+        for clause in formula.iter() {
+            for lit in clause.iter() {
+                let v = local[lit.variable().index()];
+                lits.push(2 * v + usize::from(lit.phase()));
+                occ_start[v + 1] += 1;
+            }
+            lit_start.push(lits.len());
         }
-        classes = refined;
+        for v in 0..num_local {
+            occ_start[v + 1] += occ_start[v];
+        }
+        let mut fill = occ_start.clone();
+        let mut occs = vec![0; lits.len()];
+        for c in 0..lit_start.len() - 1 {
+            for &lit in &lits[lit_start[c]..lit_start[c + 1]] {
+                occs[fill[lit >> 1]] = 2 * c + (lit & 1);
+                fill[lit >> 1] += 1;
+            }
+        }
+        Incidence {
+            clause_sigs: vec![0; lits.len()],
+            clause_colors: vec![0; lit_start.len() - 1],
+            var_sigs: vec![0; occs.len() + num_local],
+            keyed: Vec::new(),
+            lits,
+            lit_start,
+            occs,
+            occ_start,
+        }
+    }
+
+    fn num_clauses(&self) -> usize {
+        self.lit_start.len() - 1
+    }
+
+    /// Signature refinement to fixpoint. Each round colors clauses by the
+    /// multiset of (variable color, phase) pairs, then variables by their old
+    /// color plus the multiset of (clause color, phase) pairs. Both ranking
+    /// steps use sorted signatures, so the result is invariant under any
+    /// renaming of variables or reordering of clauses and literals.
+    ///
+    /// `colors` must be dense (every color below the class count is used);
+    /// it is replaced by the refined dense colors, and the class count is
+    /// returned. A discrete coloring is final: one more round would rank
+    /// every variable by its own distinct color and return it unchanged.
+    fn refine(&mut self, colors: &mut [usize]) -> usize {
+        let n = colors.len();
+        let mut classes = colors.iter().max().map_or(0, |&c| c + 1);
+        if classes == n {
+            return classes;
+        }
+        loop {
+            for c in 0..self.num_clauses() {
+                let (start, end) = (self.lit_start[c], self.lit_start[c + 1]);
+                for i in start..end {
+                    let lit = self.lits[i];
+                    self.clause_sigs[i] = signature(colors[lit >> 1], lit & 1);
+                }
+                self.clause_sigs[start..end].sort_unstable();
+            }
+            let (sigs, starts) = (&self.clause_sigs, &self.lit_start);
+            dense_rank(
+                |c| &sigs[starts[c]..starts[c + 1]],
+                &mut self.keyed,
+                &mut self.clause_colors,
+            );
+            for (v, &color) in colors.iter().enumerate() {
+                let (start, end) = (self.occ_start[v], self.occ_start[v + 1]);
+                let sig = &mut self.var_sigs[start + v..end + v + 1];
+                sig[0] = color as u64;
+                for (slot, &occ) in sig[1..].iter_mut().zip(&self.occs[start..end]) {
+                    *slot = signature(self.clause_colors[occ >> 1], occ & 1);
+                }
+                sig[1..].sort_unstable();
+            }
+            let (sigs, starts) = (&self.var_sigs, &self.occ_start);
+            let refined = dense_rank(
+                |v| &sigs[starts[v] + v..starts[v + 1] + v + 1],
+                &mut self.keyed,
+                colors,
+            );
+            if refined == classes || refined == n {
+                return refined;
+            }
+            classes = refined;
+        }
+    }
+
+    /// Budgeted individualize-and-refine below the non-discrete refined
+    /// coloring `root`: the discrete leaf coloring whose encoding is the
+    /// lexicographic minimum (first in depth-first order among equals), or
+    /// `None` when the search tree has more than [`CANONICAL_LEAF_BUDGET`]
+    /// leaves.
+    fn lex_min_leaf(&mut self, root: &[usize]) -> Option<Vec<usize>> {
+        let mut counts = Vec::new();
+        let (_, size) = split_class(root, &mut counts).expect("root coloring is not discrete");
+        let mut bound = size;
+        if bound > CANONICAL_LEAF_BUDGET {
+            return None;
+        }
+        let mut leaves = Vec::new();
+        self.collect_leaves(root, &mut bound, &mut leaves)?;
+        let mut best: Option<(Vec<u64>, Vec<usize>)> = None;
+        for leaf in leaves {
+            let encoded = self.encode_under(&leaf);
+            if best.as_ref().is_none_or(|(min, _)| encoded < *min) {
+                best = Some((encoded, leaf));
+            }
+        }
+        best.map(|(_, leaf)| leaf)
+    }
+
+    /// Appends the leaves below the non-discrete coloring `colors` to
+    /// `leaves` in depth-first order. `bound` is a lower bound on the tree's
+    /// leaf count: the leaves found so far plus a lower bound for every
+    /// subtree not yet explored, with `colors` counted at the size of its
+    /// branching class. Returns `None` as soon as it exceeds the budget.
+    fn collect_leaves(
+        &mut self,
+        colors: &[usize],
+        bound: &mut usize,
+        leaves: &mut Vec<Vec<usize>>,
+    ) -> Option<()> {
+        let mut counts = Vec::new();
+        let (split, size) = split_class(colors, &mut counts).expect("coloring is not discrete");
+        let mut children = Vec::with_capacity(size);
+        for v in (0..colors.len()).filter(|&v| colors[v] == split) {
+            // Individualize v: give it a color just below its class, shifting
+            // everything at or above the class up by one to stay dense.
+            let mut child: Vec<usize> = colors
+                .iter()
+                .map(|&color| if color >= split { color + 1 } else { color })
+                .collect();
+            child[v] = split;
+            let discrete = self.refine(&mut child) == child.len();
+            // The child was counted as one leaf; raise that to its branching
+            // class size.
+            if !discrete {
+                *bound += split_class(&child, &mut counts).map_or(0, |(_, s)| s - 1);
+                if *bound > CANONICAL_LEAF_BUDGET {
+                    return None;
+                }
+            }
+            children.push((child, discrete));
+        }
+        for (child, discrete) in children {
+            if discrete {
+                leaves.push(child);
+            } else {
+                self.collect_leaves(&child, bound, leaves)?;
+            }
+        }
+        Some(())
+    }
+
+    /// Encodes the formula renamed by the discrete coloring `rename` (new
+    /// index per variable) as a flat word sequence comparable
+    /// lexicographically: the sorted, deduplicated renamed clauses, each as
+    /// its length followed by its sorted, deduplicated literal codes.
+    fn encode_under(&self, rename: &[usize]) -> Vec<u64> {
+        let mut codes: Vec<u64> = Vec::with_capacity(self.lits.len());
+        let mut starts = Vec::with_capacity(self.lit_start.len());
+        starts.push(0);
+        for c in 0..self.num_clauses() {
+            let start = codes.len();
+            codes.extend(
+                self.lits[self.lit_start[c]..self.lit_start[c + 1]]
+                    .iter()
+                    .map(|&lit| {
+                        Variable::new(rename[lit >> 1]).literal(lit & 1 == 1).code() as u64
+                    }),
+            );
+            codes[start..].sort_unstable();
+            let mut end = start;
+            for i in start..codes.len() {
+                if end == start || codes[i] != codes[end - 1] {
+                    codes[end] = codes[i];
+                    end += 1;
+                }
+            }
+            codes.truncate(end);
+            starts.push(end);
+        }
+        let clause = |c: usize| &codes[starts[c]..starts[c + 1]];
+        let mut order: Vec<usize> = (0..self.num_clauses()).collect();
+        order.sort_unstable_by(|&a, &b| clause(a).cmp(clause(b)));
+        order.dedup_by(|a, b| clause(*a) == clause(*b));
+        let mut flat = Vec::with_capacity(codes.len() + order.len());
+        for c in order {
+            flat.push(clause(c).len() as u64);
+            flat.extend_from_slice(clause(c));
+        }
+        flat
     }
 }
 
-/// Replaces each signature with its dense rank among the sorted distinct
-/// signatures. The input is taken by mutable reference only to avoid an
-/// extra clone for sorting.
-fn rank<T: Ord + Clone>(sigs: &mut [T]) -> Vec<usize> {
-    let mut sorted: Vec<T> = sigs.to_vec();
-    sorted.sort();
-    sorted.dedup();
-    sigs.iter()
-        .map(|sig| sorted.binary_search(sig).expect("signature present"))
-        .collect()
+/// Writes into `ranks` the dense rank of every signature `sig(i)`,
+/// `i < ranks.len()`, among the distinct signatures in lexicographic order,
+/// and returns how many distinct signatures there are. `keyed` is scratch:
+/// the indices sorted by [`prefix_key`], with the rest of the signature
+/// compared only between equal keys.
+fn dense_rank<'a>(
+    sig: impl Fn(usize) -> &'a [u64],
+    keyed: &mut Vec<(u128, usize)>,
+    ranks: &mut [usize],
+) -> usize {
+    // Equal keys mean equal first two words, so comparing what follows
+    // them orders the whole signatures.
+    let tail = |i: usize| sig(i).get(2..).unwrap_or_default();
+    keyed.clear();
+    keyed.extend((0..ranks.len()).map(|i| (prefix_key(sig(i)), i)));
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| tail(a.1).cmp(tail(b.1))));
+    let mut rank = 0;
+    for i in 0..keyed.len() {
+        let (key, index) = keyed[i];
+        if i > 0 && (key != keyed[i - 1].0 || tail(index) != tail(keyed[i - 1].1)) {
+            rank += 1;
+        }
+        ranks[index] = rank;
+    }
+    if keyed.is_empty() {
+        0
+    } else {
+        rank + 1
+    }
 }
 
-/// Budgeted individualize-and-refine: returns the lexicographically minimal
-/// formula encoding over all tie-break branches, or `None` once `budget`
-/// complete encodings have been spent.
-fn lex_min_order(
-    clauses: &[Vec<(usize, bool)>],
-    occurrences: &[Vec<(usize, bool)>],
-    colors: &[usize],
-    budget: &mut usize,
-) -> Option<(Vec<u64>, Vec<usize>)> {
-    // Find the first (smallest-color) non-singleton class.
-    let mut counts = vec![0usize; colors.len() + 1];
+/// The first two words of a signature, each plus one so that a missing word
+/// (0) sorts below any present one: keys order like the signatures' first
+/// two words under lexicographic comparison, a shorter prefix first.
+fn prefix_key(sig: &[u64]) -> u128 {
+    let word = |i: usize| sig.get(i).map_or(0, |&w| u128::from(w) + 1);
+    (word(0) << 64) | word(1)
+}
+
+/// The branching class of a dense coloring: its smallest color held by more
+/// than one variable, with that class's size, or `None` when the coloring is
+/// discrete. `counts` is scratch.
+fn split_class(colors: &[usize], counts: &mut Vec<usize>) -> Option<(usize, usize)> {
+    counts.clear();
+    counts.resize(colors.len(), 0);
     for &color in colors {
         counts[color] += 1;
     }
-    let split = colors
+    counts
         .iter()
-        .copied()
-        .filter(|&color| counts[color] > 1)
-        .min();
-    let Some(split) = split else {
-        // Discrete coloring: one leaf.
-        if *budget == 0 {
-            return None;
-        }
-        *budget -= 1;
-        let order = order_by_color(colors);
-        return Some((encode_under(clauses, &order), order));
-    };
-    let mut best: Option<(Vec<u64>, Vec<usize>)> = None;
-    for v in 0..colors.len() {
-        if colors[v] != split {
-            continue;
-        }
-        // Individualize v: give it a color just below its class, shifting
-        // everything at or above the class up by one to stay dense enough.
-        let mut branched: Vec<usize> = colors
-            .iter()
-            .map(|&color| if color >= split { color + 1 } else { color })
-            .collect();
-        branched[v] = split;
-        let refined = refine(clauses, occurrences, branched);
-        let candidate = lex_min_order(clauses, occurrences, &refined, budget)?;
-        best = match best {
-            Some(current) if current.0 <= candidate.0 => Some(current),
-            _ => Some(candidate),
-        };
-    }
-    best
-}
-
-/// Encodes the formula under a candidate variable order (new index per
-/// variable) as a flat word sequence comparable lexicographically: sorted
-/// renamed clauses, each as its sorted literal codes.
-fn encode_under(clauses: &[Vec<(usize, bool)>], order: &[usize]) -> Vec<u64> {
-    let mut rename = vec![0usize; order.len()];
-    for (new, &old) in order.iter().enumerate() {
-        rename[old] = new;
-    }
-    let mut encoded: Vec<Vec<u64>> = clauses
-        .iter()
-        .map(|clause| {
-            let mut lits: Vec<u64> = clause
-                .iter()
-                .map(|&(v, phase)| Variable::new(rename[v]).literal(phase).code() as u64)
-                .collect();
-            lits.sort_unstable();
-            lits.dedup();
-            lits
-        })
-        .collect();
-    encoded.sort();
-    encoded.dedup();
-    let mut flat = Vec::with_capacity(encoded.iter().map(|c| c.len() + 1).sum());
-    for clause in encoded {
-        flat.push(clause.len() as u64);
-        flat.extend(clause);
-    }
-    flat
+        .position(|&count| count > 1)
+        .map(|split| (split, counts[split]))
 }
 
 #[cfg(test)]
@@ -542,6 +700,31 @@ mod tests {
                 assert!(formula.evaluate(&trace.lift_model(&candidate)));
             }
         }
+    }
+
+    #[test]
+    fn preprocess_skips_the_second_normalize_when_nothing_is_fixed() {
+        // No unit and no pure literal: simplification fixes nothing, so the
+        // second normalization is skipped.
+        let formula = cnf_formula![[2, 1], [-1, -2], [1, -2, 3], [-1, 2], [-3, 2], [3, -2]];
+        let normalized = normalize(&formula);
+        let (residual, simplified) = simplify(&normalized);
+        assert!(simplified.fixed.is_empty());
+        assert_eq!(residual, normalized);
+        // The result equals the pipeline with the second normalization kept.
+        let (expected, kept) = canonicalize(&normalize(&residual));
+        let expected_trace = ReductionTrace {
+            original_vars: formula.num_vars(),
+            forced: Vec::new(),
+            kept,
+        };
+        assert_eq!(
+            preprocess(&formula).outcome,
+            PreprocessOutcome::Reduced {
+                formula: expected,
+                trace: expected_trace,
+            }
+        );
     }
 
     #[test]
