@@ -3,13 +3,11 @@
 //!
 //! Every [`SolvePipeline`](crate::SolvePipeline) owns a [`MetricsRegistry`];
 //! the registry is cheaply clonable (it is an `Arc` around atomics) so the
-//! service's worker threads, the wire server's `METRICS` handler and the
-//! shard coordinator's fleet merge can all observe one instance. A
-//! [`MetricsSnapshot`] is a plain value: safe to ship over the wire, fold
-//! into `FleetStats`, or print.
+//! service's worker threads and the wire server's `METRICS` handler can all
+//! observe one instance. A [`MetricsSnapshot`] is a plain value: safe to
+//! compare, or to ship over the wire as a `METRICS` frame.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -52,10 +50,6 @@ impl BackendLatency {
 #[derive(Debug, Default)]
 struct MetricsInner {
     dispatches: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    cache_insertions: AtomicU64,
     pre_vars_removed: AtomicU64,
     pre_clauses_removed: AtomicU64,
     pre_solved: AtomicU64,
@@ -95,24 +89,6 @@ impl MetricsRegistry {
             .record(latency);
     }
 
-    /// Records a cache hit (a submission answered without dispatch).
-    pub fn record_cache_hit(&self) {
-        self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a cache miss.
-    pub fn record_cache_miss(&self) {
-        self.inner.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `evicted` cache evictions and one insertion.
-    pub fn record_cache_insertion(&self, evicted: u64) {
-        self.inner.cache_insertions.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .cache_evictions
-            .fetch_add(evicted, Ordering::Relaxed);
-    }
-
     /// Records one preprocessing run: how many variables and clauses it
     /// removed, and whether it solved the instance outright.
     pub fn record_preprocess(&self, vars_removed: u64, clauses_removed: u64, solved: bool) {
@@ -149,8 +125,9 @@ impl MetricsRegistry {
     }
 
     /// Takes a point-in-time snapshot of every counter and histogram. The
-    /// queue gauges are zero here; front ends that own a queue (the solve
-    /// service) fill them in.
+    /// queue and cache gauges are zero here; the owning pipeline fills in
+    /// the cache's, and front ends that own a queue (the solve service) the
+    /// queue's.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let latencies = self
             .inner
@@ -159,16 +136,7 @@ impl MetricsRegistry {
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         MetricsSnapshot {
-            queue_depth: 0,
-            backlog_high: 0,
-            backlog_normal: 0,
-            backlog_low: 0,
             dispatches: self.inner.dispatches.load(Ordering::Relaxed),
-            cache_hits: self.inner.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.inner.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.inner.cache_evictions.load(Ordering::Relaxed),
-            cache_insertions: self.inner.cache_insertions.load(Ordering::Relaxed),
-            cache_entries: 0,
             pre_vars_removed: self.inner.pre_vars_removed.load(Ordering::Relaxed),
             pre_clauses_removed: self.inner.pre_clauses_removed.load(Ordering::Relaxed),
             pre_solved: self.inner.pre_solved.load(Ordering::Relaxed),
@@ -177,6 +145,7 @@ impl MetricsRegistry {
             clauses_exported: self.inner.clauses_exported.load(Ordering::Relaxed),
             clauses_imported: self.inner.clauses_imported.load(Ordering::Relaxed),
             backends: latencies,
+            ..MetricsSnapshot::default()
         }
     }
 }
@@ -237,46 +206,6 @@ impl MetricsSnapshot {
     }
 }
 
-impl fmt::Display for MetricsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "queue-depth={} backlog-high={} backlog-normal={} backlog-low={} dispatches={} \
-             cache-hits={} cache-misses={} cache-evictions={} cache-insertions={} \
-             cache-entries={} pre-vars-removed={} pre-clauses-removed={} pre-solved={} \
-             budget-samples-spent={} budget-checks-spent={} clauses-exported={} \
-             clauses-imported={}",
-            self.queue_depth,
-            self.backlog_high,
-            self.backlog_normal,
-            self.backlog_low,
-            self.dispatches,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_insertions,
-            self.cache_entries,
-            self.pre_vars_removed,
-            self.pre_clauses_removed,
-            self.pre_solved,
-            self.budget_samples_spent,
-            self.budget_checks_spent,
-            self.clauses_exported,
-            self.clauses_imported,
-        )?;
-        for (name, latency) in &self.backends {
-            write!(
-                f,
-                " {name}:count={} mean-us={} max-us={}",
-                latency.count,
-                latency.mean_us(),
-                latency.max_us,
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,10 +213,6 @@ mod tests {
     #[test]
     fn counters_accumulate_and_snapshot() {
         let metrics = MetricsRegistry::new();
-        metrics.record_cache_hit();
-        metrics.record_cache_miss();
-        metrics.record_cache_miss();
-        metrics.record_cache_insertion(1);
         metrics.record_preprocess(3, 2, false);
         metrics.record_preprocess(1, 1, true);
         metrics.record_budget_spend(100, 4);
@@ -295,10 +220,6 @@ mod tests {
         metrics.record_dispatch("cdcl", Duration::from_micros(900));
         metrics.record_dispatch("cdcl", Duration::from_micros(100));
         let snapshot = metrics.snapshot();
-        assert_eq!(snapshot.cache_hits, 1);
-        assert_eq!(snapshot.cache_misses, 2);
-        assert_eq!(snapshot.cache_evictions, 1);
-        assert_eq!(snapshot.cache_insertions, 1);
         assert_eq!(snapshot.pre_vars_removed, 4);
         assert_eq!(snapshot.pre_clauses_removed, 3);
         assert_eq!(snapshot.pre_solved, 1);
@@ -313,17 +234,21 @@ mod tests {
         assert_eq!(cdcl.max_us, 900);
         assert_eq!(cdcl.mean_us(), 500);
         assert_eq!(cdcl.buckets.iter().sum::<u64>(), 2);
-        assert!((snapshot.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-        let rendered = snapshot.to_string();
-        assert!(rendered.contains("cache-hits=1"));
-        assert!(rendered.contains("cdcl:count=2"));
+        // The cache gauges are the owning pipeline's to fill in.
+        assert_eq!(snapshot.cache_hits, 0);
+        let cached = MetricsSnapshot {
+            cache_hits: 1,
+            cache_misses: 2,
+            ..snapshot
+        };
+        assert!((cached.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn clones_share_one_instance() {
         let metrics = MetricsRegistry::new();
         let clone = metrics.clone();
-        clone.record_cache_hit();
-        assert_eq!(metrics.snapshot().cache_hits, 1);
+        clone.record_dispatch("cdcl", Duration::from_micros(5));
+        assert_eq!(metrics.snapshot().dispatches, 1);
     }
 }

@@ -151,6 +151,45 @@ impl SolveStats {
         }
     }
 
+    /// Adds every counter of `other`, and its wall time, into `self`: the one
+    /// way summed telemetry (a session's calls, a fleet's sub-solves) is
+    /// folded. `last_estimate` and `winner` are left untouched.
+    pub fn merge(&mut self, other: &SolveStats) {
+        // Destructured without `..` so a new field cannot be silently skipped.
+        let SolveStats {
+            decisions,
+            conflicts,
+            propagations,
+            restarts,
+            learned_clauses,
+            assignments_tried,
+            flips,
+            coprocessor_checks,
+            samples,
+            last_estimate: _,
+            winner: _,
+            wall_time,
+            cache_hits,
+            preprocessed_vars_removed,
+            clauses_exported,
+            clauses_imported,
+        } = other;
+        self.decisions += decisions;
+        self.conflicts += conflicts;
+        self.propagations += propagations;
+        self.restarts += restarts;
+        self.learned_clauses += learned_clauses;
+        self.assignments_tried += assignments_tried;
+        self.flips += flips;
+        self.coprocessor_checks += coprocessor_checks;
+        self.samples += samples;
+        self.wall_time += *wall_time;
+        self.cache_hits += cache_hits;
+        self.preprocessed_vars_removed += preprocessed_vars_removed;
+        self.clauses_exported += clauses_exported;
+        self.clauses_imported += clauses_imported;
+    }
+
     /// Folds the hybrid solver's statistics into the unified view.
     pub fn absorb_hybrid(&mut self, stats: &HybridStats) {
         self.decisions += stats.decisions;
@@ -312,6 +351,52 @@ mod tests {
         let rendered = stats.to_string();
         assert!(rendered.contains("decisions=5"));
         assert!(rendered.contains("winner=cdcl"));
+    }
+
+    #[test]
+    fn merge_sums_every_counter_and_keeps_the_winner() {
+        let part = SolveStats {
+            decisions: 1,
+            conflicts: 2,
+            propagations: 3,
+            restarts: 4,
+            learned_clauses: 5,
+            assignments_tried: 6,
+            flips: 7,
+            coprocessor_checks: 8,
+            samples: 9,
+            last_estimate: None,
+            winner: Some("part"),
+            wall_time: Duration::from_micros(10),
+            cache_hits: 11,
+            preprocessed_vars_removed: 12,
+            clauses_exported: 13,
+            clauses_imported: 14,
+        };
+        let mut total = SolveStats {
+            winner: Some("total"),
+            ..part.clone()
+        };
+        total.merge(&part);
+        let expected = SolveStats {
+            decisions: 2,
+            conflicts: 4,
+            propagations: 6,
+            restarts: 8,
+            learned_clauses: 10,
+            assignments_tried: 12,
+            flips: 14,
+            coprocessor_checks: 16,
+            samples: 18,
+            last_estimate: None,
+            winner: Some("total"),
+            wall_time: Duration::from_micros(20),
+            cache_hits: 22,
+            preprocessed_vars_removed: 24,
+            clauses_exported: 26,
+            clauses_imported: 28,
+        };
+        assert_eq!(total, expected);
     }
 
     #[test]

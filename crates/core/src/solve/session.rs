@@ -271,7 +271,8 @@ impl SolveSession {
     pub fn solve(&mut self, call: &SessionCall) -> Result<SolveOutcome> {
         let outcome = self.backend.solve(call)?;
         self.calls += 1;
-        accumulate(&mut self.cumulative, &outcome.stats);
+        self.cumulative.merge(&outcome.stats);
+        self.cumulative.winner = outcome.stats.winner.or(self.cumulative.winner);
         Ok(outcome)
     }
 
@@ -283,23 +284,6 @@ impl SolveSession {
     /// The summed statistics of every call so far.
     pub fn cumulative_stats(&self) -> &SolveStats {
         &self.cumulative
-    }
-}
-
-/// Folds one call's statistics into the session total.
-fn accumulate(total: &mut SolveStats, call: &SolveStats) {
-    total.decisions += call.decisions;
-    total.conflicts += call.conflicts;
-    total.propagations += call.propagations;
-    total.restarts += call.restarts;
-    total.learned_clauses += call.learned_clauses;
-    total.assignments_tried += call.assignments_tried;
-    total.flips += call.flips;
-    total.coprocessor_checks += call.coprocessor_checks;
-    total.samples += call.samples;
-    total.wall_time += call.wall_time;
-    if call.winner.is_some() {
-        total.winner = call.winner;
     }
 }
 
@@ -381,5 +365,76 @@ mod tests {
         let verdict = session.solve(&SessionCall::new()).unwrap().verdict;
         assert!(verdict.is_unsat());
         assert_eq!(session.calls(), 3);
+    }
+
+    /// Answers every call with the same statistics, every counter nonzero.
+    #[derive(Debug)]
+    struct FixedStatsBackend;
+
+    fn fixed_stats() -> SolveStats {
+        SolveStats {
+            decisions: 1,
+            conflicts: 2,
+            propagations: 3,
+            restarts: 4,
+            learned_clauses: 5,
+            assignments_tried: 6,
+            flips: 7,
+            coprocessor_checks: 8,
+            samples: 9,
+            winner: Some("fixed"),
+            wall_time: Duration::from_micros(10),
+            cache_hits: 11,
+            preprocessed_vars_removed: 12,
+            clauses_exported: 13,
+            clauses_imported: 14,
+            ..SolveStats::default()
+        }
+    }
+
+    impl IncrementalBackend for FixedStatsBackend {
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+        fn push(&mut self, _formula: &CnfFormula) -> usize {
+            1
+        }
+        fn pop(&mut self) -> bool {
+            false
+        }
+        fn depth(&self) -> usize {
+            0
+        }
+        fn num_vars(&self) -> usize {
+            0
+        }
+        fn solve(&mut self, _call: &SessionCall) -> Result<SolveOutcome> {
+            let mut outcome = SolveOutcome::of_verdict(SolveVerdict::Satisfiable);
+            outcome.stats = fixed_stats();
+            Ok(outcome)
+        }
+    }
+
+    #[test]
+    fn cumulative_stats_sum_every_counter() {
+        let mut session = SolveSession::new(Box::new(FixedStatsBackend));
+        session.solve(&SessionCall::new()).unwrap();
+        session.solve(&SessionCall::new()).unwrap();
+        let total = session.cumulative_stats();
+        assert_eq!(total.decisions, 2);
+        assert_eq!(total.conflicts, 4);
+        assert_eq!(total.propagations, 6);
+        assert_eq!(total.restarts, 8);
+        assert_eq!(total.learned_clauses, 10);
+        assert_eq!(total.assignments_tried, 12);
+        assert_eq!(total.flips, 14);
+        assert_eq!(total.coprocessor_checks, 16);
+        assert_eq!(total.samples, 18);
+        assert_eq!(total.winner, Some("fixed"));
+        assert_eq!(total.wall_time, Duration::from_micros(20));
+        assert_eq!(total.cache_hits, 22);
+        assert_eq!(total.preprocessed_vars_removed, 24);
+        assert_eq!(total.clauses_exported, 26);
+        assert_eq!(total.clauses_imported, 28);
     }
 }

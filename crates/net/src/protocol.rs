@@ -392,86 +392,152 @@ impl fmt::Display for WireVerdict {
     }
 }
 
-/// Search-statistics counters carried by a `STATS` frame. Mirrors the wire
-/// subset of [`SolveStats`] (the non-numeric fields — winner attribution, the
-/// sampled engine's estimate — stay server-side).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct WireStats {
-    /// `decisions=` — branching decisions.
-    pub decisions: u64,
-    /// `conflicts=` — conflicts hit.
-    pub conflicts: u64,
-    /// `propagations=` — unit propagations.
-    pub propagations: u64,
-    /// `restarts=` — restarts taken.
-    pub restarts: u64,
-    /// `learned=` — clauses learned.
-    pub learned: u64,
-    /// `tried=` — complete assignments tried.
-    pub tried: u64,
-    /// `flips=` — local-search flips.
-    pub flips: u64,
-    /// `checks=` — NBL coprocessor checks.
-    pub checks: u64,
-    /// `samples=` — noise samples drawn.
-    pub samples: u64,
-    /// `wall-us=` — wall-clock microseconds spent solving.
-    pub wall_us: u64,
-    /// `cache-hits=` — verdict-cache hits that answered this job.
-    pub cache_hits: u64,
-    /// `pre-vars-removed=` — variables the preprocessor eliminated before
-    /// dispatch.
-    pub pre_vars_removed: u64,
-    /// `clauses-exported=` — clauses published into the cooperative
-    /// portfolio's shared pool.
-    pub clauses_exported: u64,
-    /// `clauses-imported=` — clauses consumed from the cooperative
-    /// portfolio's shared pool.
-    pub clauses_imported: u64,
+/// A counter's value as one `u64` on the wire: a count as is, a duration in
+/// whole microseconds (saturating).
+trait WireCounter {
+    fn to_wire(&self) -> u64;
+    fn from_wire(value: u64) -> Self;
 }
 
-impl WireStats {
+impl WireCounter for u64 {
+    fn to_wire(&self) -> u64 {
+        *self
+    }
+
+    fn from_wire(value: u64) -> Self {
+        value
+    }
+}
+
+impl WireCounter for Duration {
+    fn to_wire(&self) -> u64 {
+        u64::try_from(self.as_micros()).unwrap_or(u64::MAX)
+    }
+
+    fn from_wire(value: u64) -> Self {
+        Duration::from_micros(value)
+    }
+}
+
+/// Declares the counter set of one wire frame, once.
+///
+/// Each row `field = "key" <- source_field,` names a public `u64` field of
+/// the wire struct, its wire key, and the field of the in-process source
+/// struct it is copied from (through [`WireCounter`]); rows are in wire
+/// order. From the rows the macro generates the struct, `From<&Source>`,
+/// the counter encoder (`write_counters`), the key list the parser looks
+/// keys up in (`KEYS`) and the constructor from parsed key slots
+/// (`from_counters`, absent keys read 0). Non-counter fields follow a `;`
+/// with the expression that fills them from the source, which is bound to
+/// the name between the `|`s. A trailing `fn name;` also generates the
+/// conversion back into the source (its non-wire fields default).
+macro_rules! counter_frame {
+    (@back $name:ident $source:ident [$($field:ident $from:ident)*]) => {};
+    (
+        @back $name:ident $source:ident [$($field:ident $from:ident)*]
+        $(#[$doc:meta])* $back:ident
+    ) => {
+        impl $name {
+            $(#[$doc])*
+            pub fn $back(self) -> $source {
+                $source {
+                    $($from: WireCounter::from_wire(self.$field),)*
+                    ..$source::default()
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident from $source:ident |$src:ident| {
+            $($(#[$doc:meta])* $field:ident = $key:literal <- $from:ident,)*
+            $(; $(#[$extra_doc:meta])* $extra:ident: $extra_ty:ty = $extra_init:expr,)?
+        }
+        $($(#[$back_doc:meta])* fn $back:ident;)?
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
+            $($(#[$extra_doc])* pub $extra: $extra_ty,)?
+        }
+
+        impl $name {
+            /// The counter keys, in wire order.
+            const KEYS: [&'static str; [$($key),*].len()] = [$($key),*];
+
+            /// Appends ` key=value` for every counter, in wire order.
+            fn write_counters(&self, out: &mut String) {
+                use std::fmt::Write as _;
+                $(let _ = write!(out, concat!(" ", $key, "={}"), self.$field);)*
+            }
+
+            /// The frame from its parsed counter slots, indexed like
+            /// [`Self::KEYS`]; absent counters read 0.
+            fn from_counters(slots: [Option<u64>; $name::KEYS.len()]) -> Self {
+                let [$($field),*] = slots;
+                $name {
+                    $($field: $field.unwrap_or(0),)*
+                    $($extra: Default::default(),)?
+                }
+            }
+        }
+
+        impl From<&$source> for $name {
+            fn from($src: &$source) -> Self {
+                $name {
+                    $($field: WireCounter::to_wire(&$src.$from),)*
+                    $($extra: $extra_init,)?
+                }
+            }
+        }
+
+        counter_frame!(@back $name $source [$($field $from)*] $($(#[$back_doc])* $back)?);
+    };
+}
+
+counter_frame! {
+    /// Search-statistics counters carried by a `STATS` frame. Mirrors the wire
+    /// subset of [`SolveStats`] (the non-numeric fields — winner attribution, the
+    /// sampled engine's estimate — stay server-side).
+    ///
+    /// This table is the one place the `STATS` counter set is declared: adding
+    /// a counter is one row here, plus the code that produces it and a test.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub struct WireStats from SolveStats |stats| {
+        /// `decisions=` — branching decisions.
+        decisions = "decisions" <- decisions,
+        /// `conflicts=` — conflicts hit.
+        conflicts = "conflicts" <- conflicts,
+        /// `propagations=` — unit propagations.
+        propagations = "propagations" <- propagations,
+        /// `restarts=` — restarts taken.
+        restarts = "restarts" <- restarts,
+        /// `learned=` — clauses learned.
+        learned = "learned" <- learned_clauses,
+        /// `tried=` — complete assignments tried.
+        tried = "tried" <- assignments_tried,
+        /// `flips=` — local-search flips.
+        flips = "flips" <- flips,
+        /// `checks=` — NBL coprocessor checks.
+        checks = "checks" <- coprocessor_checks,
+        /// `samples=` — noise samples drawn.
+        samples = "samples" <- samples,
+        /// `wall-us=` — wall-clock microseconds spent solving.
+        wall_us = "wall-us" <- wall_time,
+        /// `cache-hits=` — verdict-cache hits that answered this job.
+        cache_hits = "cache-hits" <- cache_hits,
+        /// `pre-vars-removed=` — variables the preprocessor eliminated before
+        /// dispatch.
+        pre_vars_removed = "pre-vars-removed" <- preprocessed_vars_removed,
+        /// `clauses-exported=` — clauses published into the cooperative
+        /// portfolio's shared pool.
+        clauses_exported = "clauses-exported" <- clauses_exported,
+        /// `clauses-imported=` — clauses consumed from the cooperative
+        /// portfolio's shared pool.
+        clauses_imported = "clauses-imported" <- clauses_imported,
+    }
     /// Converts back into a [`SolveStats`] (non-wire fields default).
-    pub fn to_solve_stats(self) -> SolveStats {
-        SolveStats {
-            decisions: self.decisions,
-            conflicts: self.conflicts,
-            propagations: self.propagations,
-            restarts: self.restarts,
-            learned_clauses: self.learned,
-            assignments_tried: self.tried,
-            flips: self.flips,
-            coprocessor_checks: self.checks,
-            samples: self.samples,
-            wall_time: Duration::from_micros(self.wall_us),
-            cache_hits: self.cache_hits,
-            preprocessed_vars_removed: self.pre_vars_removed,
-            clauses_exported: self.clauses_exported,
-            clauses_imported: self.clauses_imported,
-            ..SolveStats::default()
-        }
-    }
-}
-
-impl From<&SolveStats> for WireStats {
-    fn from(stats: &SolveStats) -> Self {
-        WireStats {
-            decisions: stats.decisions,
-            conflicts: stats.conflicts,
-            propagations: stats.propagations,
-            restarts: stats.restarts,
-            learned: stats.learned_clauses,
-            tried: stats.assignments_tried,
-            flips: stats.flips,
-            checks: stats.coprocessor_checks,
-            samples: stats.samples,
-            wall_us: u64::try_from(stats.wall_time.as_micros()).unwrap_or(u64::MAX),
-            cache_hits: stats.cache_hits,
-            pre_vars_removed: stats.preprocessed_vars_removed,
-            clauses_exported: stats.clauses_exported,
-            clauses_imported: stats.clauses_imported,
-        }
-    }
+    fn to_solve_stats;
 }
 
 /// One queried job's live queue gauges, appended to `INFO` answers. The keys
@@ -510,80 +576,65 @@ impl WireBackendLatency {
     }
 }
 
-/// The server's point-in-time pipeline snapshot answering a `METRICS`
-/// request: queue gauges, verdict-cache and preprocessing counters, budget
-/// spend, and one [`WireBackendLatency`] body line per backend that has
-/// dispatched at least one job. Mirrors the wire subset of
-/// [`MetricsSnapshot`] (latency histograms stay server-side; the body lines
-/// carry the count/total/max aggregate).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WireMetrics {
-    /// `queue-depth=` — jobs queued and not yet picked up.
-    pub queue_depth: u64,
-    /// `backlog-high=` — queued high-priority jobs.
-    pub backlog_high: u64,
-    /// `backlog-normal=` — queued normal-priority jobs.
-    pub backlog_normal: u64,
-    /// `backlog-low=` — queued low-priority jobs.
-    pub backlog_low: u64,
-    /// `cache-hits=` — verdict-cache hits.
-    pub cache_hits: u64,
-    /// `cache-misses=` — verdict-cache misses.
-    pub cache_misses: u64,
-    /// `cache-evictions=` — entries evicted to stay under capacity.
-    pub cache_evictions: u64,
-    /// `cache-entries=` — entries currently resident.
-    pub cache_entries: u64,
-    /// `pre-vars-removed=` — variables eliminated by preprocessing.
-    pub pre_vars_removed: u64,
-    /// `pre-clauses-removed=` — clauses eliminated by preprocessing.
-    pub pre_clauses_removed: u64,
-    /// `pre-solved=` — submissions preprocessing answered outright.
-    pub pre_solved: u64,
-    /// `budget-samples-spent=` — noise samples charged across all dispatches.
-    pub budget_samples_spent: u64,
-    /// `budget-checks-spent=` — coprocessor checks charged across all
-    /// dispatches.
-    pub budget_checks_spent: u64,
-    /// `clauses-exported=` — clauses published into cooperative-portfolio
-    /// pools across all dispatches.
-    pub clauses_exported: u64,
-    /// `clauses-imported=` — clauses consumed from cooperative-portfolio
-    /// pools across all dispatches.
-    pub clauses_imported: u64,
-    /// Per-backend dispatch-latency aggregates (the body lines).
-    pub backends: Vec<WireBackendLatency>,
-}
-
-impl From<&MetricsSnapshot> for WireMetrics {
-    fn from(snapshot: &MetricsSnapshot) -> Self {
-        WireMetrics {
-            queue_depth: snapshot.queue_depth,
-            backlog_high: snapshot.backlog_high,
-            backlog_normal: snapshot.backlog_normal,
-            backlog_low: snapshot.backlog_low,
-            cache_hits: snapshot.cache_hits,
-            cache_misses: snapshot.cache_misses,
-            cache_evictions: snapshot.cache_evictions,
-            cache_entries: snapshot.cache_entries,
-            pre_vars_removed: snapshot.pre_vars_removed,
-            pre_clauses_removed: snapshot.pre_clauses_removed,
-            pre_solved: snapshot.pre_solved,
-            budget_samples_spent: snapshot.budget_samples_spent,
-            budget_checks_spent: snapshot.budget_checks_spent,
-            clauses_exported: snapshot.clauses_exported,
-            clauses_imported: snapshot.clauses_imported,
-            backends: snapshot
-                .backends
-                .iter()
-                .map(|(name, latency)| WireBackendLatency {
-                    name: name.clone(),
-                    count: latency.count,
-                    total_us: latency.total_us,
-                    max_us: latency.max_us,
-                })
-                .collect(),
-        }
+counter_frame! {
+    /// The server's point-in-time pipeline snapshot answering a `METRICS`
+    /// request: queue gauges, verdict-cache and preprocessing counters, budget
+    /// spend, and one [`WireBackendLatency`] body line per backend that has
+    /// dispatched at least one job. Mirrors the wire subset of
+    /// [`MetricsSnapshot`] (latency histograms stay server-side; the body lines
+    /// carry the count/total/max aggregate).
+    ///
+    /// This table is the one place the `METRICS` header's counter set is
+    /// declared: adding a counter is one row here, plus the code that produces
+    /// it and a test. The `body-lines=` key and the body lines are not
+    /// counters and stay hand-written in the codec.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub struct WireMetrics from MetricsSnapshot |snapshot| {
+        /// `queue-depth=` — jobs queued and not yet picked up.
+        queue_depth = "queue-depth" <- queue_depth,
+        /// `backlog-high=` — queued high-priority jobs.
+        backlog_high = "backlog-high" <- backlog_high,
+        /// `backlog-normal=` — queued normal-priority jobs.
+        backlog_normal = "backlog-normal" <- backlog_normal,
+        /// `backlog-low=` — queued low-priority jobs.
+        backlog_low = "backlog-low" <- backlog_low,
+        /// `cache-hits=` — verdict-cache hits.
+        cache_hits = "cache-hits" <- cache_hits,
+        /// `cache-misses=` — verdict-cache misses.
+        cache_misses = "cache-misses" <- cache_misses,
+        /// `cache-evictions=` — entries evicted to stay under capacity.
+        cache_evictions = "cache-evictions" <- cache_evictions,
+        /// `cache-entries=` — entries currently resident.
+        cache_entries = "cache-entries" <- cache_entries,
+        /// `pre-vars-removed=` — variables eliminated by preprocessing.
+        pre_vars_removed = "pre-vars-removed" <- pre_vars_removed,
+        /// `pre-clauses-removed=` — clauses eliminated by preprocessing.
+        pre_clauses_removed = "pre-clauses-removed" <- pre_clauses_removed,
+        /// `pre-solved=` — submissions preprocessing answered outright.
+        pre_solved = "pre-solved" <- pre_solved,
+        /// `budget-samples-spent=` — noise samples charged across all dispatches.
+        budget_samples_spent = "budget-samples-spent" <- budget_samples_spent,
+        /// `budget-checks-spent=` — coprocessor checks charged across all
+        /// dispatches.
+        budget_checks_spent = "budget-checks-spent" <- budget_checks_spent,
+        /// `clauses-exported=` — clauses published into cooperative-portfolio
+        /// pools across all dispatches.
+        clauses_exported = "clauses-exported" <- clauses_exported,
+        /// `clauses-imported=` — clauses consumed from cooperative-portfolio
+        /// pools across all dispatches.
+        clauses_imported = "clauses-imported" <- clauses_imported,
+        ;
+        /// Per-backend dispatch-latency aggregates (the body lines).
+        backends: Vec<WireBackendLatency> = snapshot
+            .backends
+            .iter()
+            .map(|(name, latency)| WireBackendLatency {
+                name: name.clone(),
+                count: latency.count,
+                total_us: latency.total_us,
+                max_us: latency.max_us,
+            })
+            .collect(),
     }
 }
 
@@ -900,30 +951,9 @@ impl Frame {
             }
             Frame::MetricsRequest => out.push_str("METRICS\n"),
             Frame::Metrics(metrics) => {
-                let _ = writeln!(
-                    out,
-                    "METRICS queue-depth={} backlog-high={} backlog-normal={} backlog-low={} \
-                     cache-hits={} cache-misses={} cache-evictions={} cache-entries={} \
-                     pre-vars-removed={} pre-clauses-removed={} pre-solved={} \
-                     budget-samples-spent={} budget-checks-spent={} \
-                     clauses-exported={} clauses-imported={} body-lines={}",
-                    metrics.queue_depth,
-                    metrics.backlog_high,
-                    metrics.backlog_normal,
-                    metrics.backlog_low,
-                    metrics.cache_hits,
-                    metrics.cache_misses,
-                    metrics.cache_evictions,
-                    metrics.cache_entries,
-                    metrics.pre_vars_removed,
-                    metrics.pre_clauses_removed,
-                    metrics.pre_solved,
-                    metrics.budget_samples_spent,
-                    metrics.budget_checks_spent,
-                    metrics.clauses_exported,
-                    metrics.clauses_imported,
-                    metrics.backends.len()
-                );
+                out.push_str("METRICS");
+                metrics.write_counters(&mut out);
+                let _ = writeln!(out, " body-lines={}", metrics.backends.len());
                 for backend in &metrics.backends {
                     let _ = writeln!(
                         out,
@@ -943,27 +973,9 @@ impl Frame {
                 out.push_str(" 0\n");
             }
             Frame::Stats { job, stats } => {
-                let _ = writeln!(
-                    out,
-                    "STATS {job} decisions={} conflicts={} propagations={} restarts={} \
-                     learned={} tried={} flips={} checks={} samples={} wall-us={} \
-                     cache-hits={} pre-vars-removed={} clauses-exported={} \
-                     clauses-imported={}",
-                    stats.decisions,
-                    stats.conflicts,
-                    stats.propagations,
-                    stats.restarts,
-                    stats.learned,
-                    stats.tried,
-                    stats.flips,
-                    stats.checks,
-                    stats.samples,
-                    stats.wall_us,
-                    stats.cache_hits,
-                    stats.pre_vars_removed,
-                    stats.clauses_exported,
-                    stats.clauses_imported
-                );
+                let _ = write!(out, "STATS {job}");
+                stats.write_counters(&mut out);
+                out.push('\n');
             }
             Frame::Result { job, verdict } => {
                 let _ = writeln!(out, "RESULT {job} {verdict}");
@@ -1112,6 +1124,22 @@ fn store_once(slot: &mut Option<u64>, key: &str, value: u64) -> Result<(), Proto
         return Err(malformed(format!("duplicate key '{key}'")));
     }
     Ok(())
+}
+
+/// Parses one `key=value` counter token of a `verb` frame into the slot of
+/// its key in `keys`; unknown keys, bad numbers and duplicates are malformed.
+fn store_counter(
+    keys: &[&str],
+    slots: &mut [Option<u64>],
+    verb: &str,
+    key: &str,
+    value: &str,
+) -> Result<(), ProtocolError> {
+    let index = keys
+        .iter()
+        .position(|&k| k == key)
+        .ok_or_else(|| malformed(format!("unknown {verb} key '{key}'")))?;
+    store_once(&mut slots[index], key, parse_u64(value, key)?)
 }
 
 fn parse_header<R: BufRead>(line: &str, reader: &mut R) -> Result<Option<Frame>, ProtocolError> {
@@ -1273,50 +1301,14 @@ fn parse_header<R: BufRead>(line: &str, reader: &mut R) -> Result<Option<Frame>,
                     .ok_or_else(|| malformed("STATS needs a job id"))?,
                 "job id",
             )?;
-            let mut slots: [Option<u64>; 14] = [None; 14];
-            const KEYS: [&str; 14] = [
-                "decisions",
-                "conflicts",
-                "propagations",
-                "restarts",
-                "learned",
-                "tried",
-                "flips",
-                "checks",
-                "samples",
-                "wall-us",
-                "cache-hits",
-                "pre-vars-removed",
-                "clauses-exported",
-                "clauses-imported",
-            ];
+            let mut slots = [None; WireStats::KEYS.len()];
             for token in tokens {
                 let (key, value) = split_key_value(token)?;
-                let index = KEYS
-                    .iter()
-                    .position(|&k| k == key)
-                    .ok_or_else(|| malformed(format!("unknown STATS key '{key}'")))?;
-                store_once(&mut slots[index], key, parse_u64(value, key)?)?;
+                store_counter(&WireStats::KEYS, &mut slots, "STATS", key, value)?;
             }
-            let counter = |index: usize| slots[index].unwrap_or(0);
             Frame::Stats {
                 job,
-                stats: WireStats {
-                    decisions: counter(0),
-                    conflicts: counter(1),
-                    propagations: counter(2),
-                    restarts: counter(3),
-                    learned: counter(4),
-                    tried: counter(5),
-                    flips: counter(6),
-                    checks: counter(7),
-                    samples: counter(8),
-                    wall_us: counter(9),
-                    cache_hits: counter(10),
-                    pre_vars_removed: counter(11),
-                    clauses_exported: counter(12),
-                    clauses_imported: counter(13),
-                },
+                stats: WireStats::from_counters(slots),
             }
         }
         "RESULT" => {
@@ -1521,24 +1513,7 @@ fn parse_metrics<'a, R: BufRead, I: Iterator<Item = &'a str>>(
     // Counter keys may be any subset (absent reads 0), like STATS; only the
     // trailing body-lines key distinguishes the response and is mandatory
     // there.
-    let mut slots: [Option<u64>; 15] = [None; 15];
-    const KEYS: [&str; 15] = [
-        "queue-depth",
-        "backlog-high",
-        "backlog-normal",
-        "backlog-low",
-        "cache-hits",
-        "cache-misses",
-        "cache-evictions",
-        "cache-entries",
-        "pre-vars-removed",
-        "pre-clauses-removed",
-        "pre-solved",
-        "budget-samples-spent",
-        "budget-checks-spent",
-        "clauses-exported",
-        "clauses-imported",
-    ];
+    let mut slots = [None; WireMetrics::KEYS.len()];
     let mut body_lines: Option<usize> = None;
     let mut any_key = false;
     for token in tokens {
@@ -1557,11 +1532,7 @@ fn parse_metrics<'a, R: BufRead, I: Iterator<Item = &'a str>>(
             body_lines = Some(count as usize);
             continue;
         }
-        let index = KEYS
-            .iter()
-            .position(|&k| k == key)
-            .ok_or_else(|| malformed(format!("unknown METRICS key '{key}'")))?;
-        store_once(&mut slots[index], key, parse_u64(value, key)?)?;
+        store_counter(&WireMetrics::KEYS, &mut slots, "METRICS", key, value)?;
     }
     if !any_key {
         return Ok(Frame::MetricsRequest);
@@ -1575,24 +1546,9 @@ fn parse_metrics<'a, R: BufRead, I: Iterator<Item = &'a str>>(
         })?;
         backends.push(parse_metrics_backend(&decode_utf8(line)?)?);
     }
-    let counter = |index: usize| slots[index].unwrap_or(0);
     Ok(Frame::Metrics(WireMetrics {
-        queue_depth: counter(0),
-        backlog_high: counter(1),
-        backlog_normal: counter(2),
-        backlog_low: counter(3),
-        cache_hits: counter(4),
-        cache_misses: counter(5),
-        cache_evictions: counter(6),
-        cache_entries: counter(7),
-        pre_vars_removed: counter(8),
-        pre_clauses_removed: counter(9),
-        pre_solved: counter(10),
-        budget_samples_spent: counter(11),
-        budget_checks_spent: counter(12),
-        clauses_exported: counter(13),
-        clauses_imported: counter(14),
         backends,
+        ..WireMetrics::from_counters(slots)
     }))
 }
 
@@ -2122,6 +2078,79 @@ mod tests {
             ],
         }));
         roundtrip(Frame::Metrics(WireMetrics::default()));
+    }
+
+    /// Pins the exact bytes of both counter frames: every key, its spelling
+    /// and its position. The round-trip tests cannot see a renamed or
+    /// reordered key; this one can.
+    #[test]
+    fn counter_frames_match_golden_wire_bytes() {
+        const STATS: &str = "STATS 77 decisions=1 conflicts=2 propagations=3 restarts=4 \
+            learned=5 tried=6 flips=7 checks=8 samples=9 wall-us=10 cache-hits=11 \
+            pre-vars-removed=12 clauses-exported=13 clauses-imported=14\n";
+        const METRICS: &str = "METRICS queue-depth=101 backlog-high=102 backlog-normal=103 \
+            backlog-low=104 cache-hits=105 cache-misses=106 cache-evictions=107 \
+            cache-entries=108 pre-vars-removed=109 pre-clauses-removed=110 pre-solved=111 \
+            budget-samples-spent=112 budget-checks-spent=113 clauses-exported=114 \
+            clauses-imported=115 body-lines=2\n\
+            backend cdcl count=116 total-us=117 max-us=118\n\
+            backend nbl-sampled count=119 total-us=120 max-us=121\n";
+        let stats = Frame::Stats {
+            job: 77,
+            stats: WireStats {
+                decisions: 1,
+                conflicts: 2,
+                propagations: 3,
+                restarts: 4,
+                learned: 5,
+                tried: 6,
+                flips: 7,
+                checks: 8,
+                samples: 9,
+                wall_us: 10,
+                cache_hits: 11,
+                pre_vars_removed: 12,
+                clauses_exported: 13,
+                clauses_imported: 14,
+            },
+        };
+        let metrics = Frame::Metrics(WireMetrics {
+            queue_depth: 101,
+            backlog_high: 102,
+            backlog_normal: 103,
+            backlog_low: 104,
+            cache_hits: 105,
+            cache_misses: 106,
+            cache_evictions: 107,
+            cache_entries: 108,
+            pre_vars_removed: 109,
+            pre_clauses_removed: 110,
+            pre_solved: 111,
+            budget_samples_spent: 112,
+            budget_checks_spent: 113,
+            clauses_exported: 114,
+            clauses_imported: 115,
+            backends: vec![
+                WireBackendLatency {
+                    name: "cdcl".into(),
+                    count: 116,
+                    total_us: 117,
+                    max_us: 118,
+                },
+                WireBackendLatency {
+                    name: "nbl-sampled".into(),
+                    count: 119,
+                    total_us: 120,
+                    max_us: 121,
+                },
+            ],
+        });
+        for (frame, golden) in [(stats, STATS), (metrics, METRICS)] {
+            assert_eq!(frame.encode(), golden);
+            let mut cursor = Cursor::new(golden.to_string());
+            assert_eq!(Frame::read_from(&mut cursor).unwrap(), Some(frame));
+            assert_eq!(Frame::read_from(&mut cursor).unwrap(), None);
+        }
     }
 
     #[test]

@@ -106,7 +106,15 @@ fn run() -> i32 {
     }
 
     let outcome = coordinator.solve(&formula);
-    println!("c fleet: {}", outcome.fleet);
+    let stats = &outcome.stats;
+    println!(
+        "c fleet: {} cache-hits={} pre-vars-removed={} clauses-exported={} clauses-imported={}",
+        outcome.fleet,
+        stats.cache_hits,
+        stats.preprocessed_vars_removed,
+        stats.clauses_exported,
+        stats.clauses_imported,
+    );
     match outcome.verdict {
         SolveVerdict::Satisfiable => println!("s SATISFIABLE"),
         SolveVerdict::Unsatisfiable => println!("s UNSATISFIABLE"),
