@@ -5,7 +5,7 @@
 //! front ends pay.
 
 use cnf::generators::{self, RandomKSatConfig};
-use cnf::{EvalMode, Literal};
+use cnf::Literal;
 use criterion::{criterion_group, criterion_main, Criterion};
 use nbl_sat_core::{BackendRegistry, SolveRequest};
 use sat_solvers::{CdclSolver, ShareHandle, SharedClausePool, SharingConfig, Solver};
@@ -43,8 +43,8 @@ fn solvers_on_random_3sat(c: &mut Criterion) {
 /// their ratio.
 fn sequential_vs_parallel_portfolio(c: &mut Criterion) {
     let sequential = BackendRegistry::default();
-    let shared = BackendRegistry::with_modes(EvalMode::default(), SharingConfig::default());
-    let racing = BackendRegistry::with_modes(EvalMode::default(), SharingConfig::racing_only());
+    let shared = BackendRegistry::with_sharing(SharingConfig::default());
+    let racing = BackendRegistry::with_sharing(SharingConfig::racing_only());
     let sat =
         generators::random_ksat(&RandomKSatConfig::from_ratio(14, 3.0, 3).with_seed(7)).unwrap();
     let unsat = generators::pigeonhole(5, 4);
@@ -69,47 +69,42 @@ fn sequential_vs_parallel_portfolio(c: &mut Criterion) {
     }
 }
 
-/// The pool's lock layout: one coarse lock (`shards = 1`, the degenerate
-/// lock-free-alternative baseline) against the default sharded array, under
-/// four members exporting and importing concurrently. This is the
-/// "benchmark both and keep the winner" evidence the `share` module docs
-/// point at.
-fn share_pool_lock_layouts(c: &mut Criterion) {
+/// The pool's one lock under four members exporting and importing
+/// concurrently: the cost record the `share` module docs point at.
+fn share_pool_one_lock(c: &mut Criterion) {
     const MEMBERS: usize = 4;
     const EXPORTS_PER_MEMBER: i64 = 64;
     let mut group = c.benchmark_group("share_pool");
     group.sample_size(10);
-    for (name, shards) in [("coarse_1shard", 1usize), ("sharded_8shards", 8)] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let pool = Arc::new(SharedClausePool::new(
-                    SharingConfig::new().with_shards(shards).with_capacity(4096),
-                ));
-                let imported: u64 = std::thread::scope(|scope| {
-                    (0..MEMBERS)
-                        .map(|member| {
-                            let pool = Arc::clone(&pool);
-                            scope.spawn(move || {
-                                let mut handle = ShareHandle::new(pool, member);
-                                let mut imported = 0;
-                                for i in 0..EXPORTS_PER_MEMBER {
-                                    let dimacs = member as i64 * EXPORTS_PER_MEMBER + i + 1;
-                                    let clause = [Literal::from_dimacs(dimacs).unwrap()];
-                                    handle.export(&clause, 1);
-                                    imported += handle.import(|_| {});
-                                }
-                                imported + handle.import(|_| {})
-                            })
+    group.bench_function("one_lock", |b| {
+        b.iter(|| {
+            let pool = Arc::new(SharedClausePool::new(
+                SharingConfig::new().with_capacity(4096),
+            ));
+            let imported: u64 = std::thread::scope(|scope| {
+                (0..MEMBERS)
+                    .map(|member| {
+                        let pool = Arc::clone(&pool);
+                        scope.spawn(move || {
+                            let mut handle = ShareHandle::new(pool, member);
+                            let mut imported = 0;
+                            for i in 0..EXPORTS_PER_MEMBER {
+                                let dimacs = member as i64 * EXPORTS_PER_MEMBER + i + 1;
+                                let clause = [Literal::from_dimacs(dimacs).unwrap()];
+                                handle.export(&clause, 1);
+                                imported += handle.import(|_| {});
+                            }
+                            imported + handle.import(|_| {})
                         })
-                        .collect::<Vec<_>>()
-                        .into_iter()
-                        .map(|h| h.join().unwrap())
-                        .sum()
-                });
-                imported
-            })
-        });
-    }
+                    })
+                    .collect::<Vec<_>>()
+                    .into_iter()
+                    .map(|h| h.join().unwrap())
+                    .sum()
+            });
+            imported
+        })
+    });
     group.finish();
 }
 
@@ -141,6 +136,6 @@ criterion_group!(
     solvers_on_random_3sat,
     solvers_on_pigeonhole,
     sequential_vs_parallel_portfolio,
-    share_pool_lock_layouts
+    share_pool_one_lock
 );
 criterion_main!(benches);

@@ -13,15 +13,13 @@ use crate::engine::{MeanEstimate, NblEngine};
 use crate::error::{NblSatError, Result};
 use crate::transform::NblSatInstance;
 use cnf::bits::WORD_BITS;
-use cnf::{EvalMode, PartialAssignment, Variable};
+use cnf::{PartialAssignment, Variable};
 use nbl_noise::{CarrierBank, ConvergenceTracker, Correlator};
 
-/// How often (in samples) the budgeted convergence loop polls the wall-clock
-/// deadline. Each sample already costs `O(n·m)` multiplications, so polling
-/// every few samples keeps the overhead negligible while bounding the
-/// reaction latency. Kept equal to [`WORD_BITS`] so the scalar and packed
-/// loops poll at the same instants (word boundaries) and therefore interrupt
-/// identically.
+/// How often (in samples) the scalar oracle loop polls the wall-clock
+/// deadline: every [`WORD_BITS`] samples, the word boundaries at which the
+/// packed loop polls, so both loops interrupt identically.
+#[cfg(test)]
 const DEADLINE_POLL_INTERVAL: u64 = WORD_BITS as u64;
 
 /// Monte-Carlo simulation engine for ⟨S_N⟩.
@@ -185,6 +183,10 @@ struct LoopState {
     timed_out: bool,
 }
 
+/// One convergence loop: draws samples into `state` until convergence, the
+/// sample cap `cap` or the meter's deadline, charging the meter.
+type ConvergeLoop = fn(&NblSatInstance, &PartialAssignment, u64, &mut BudgetMeter, &mut LoopState);
+
 impl SampledEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
@@ -256,8 +258,10 @@ impl SampledEngine {
         Self::tau_sample(instance, bindings, values) * Self::sigma_sample(instance, values)
     }
 
-    /// The scalar reference convergence loop: one sample per iteration, the
-    /// whole run charged to the meter in one piece at the end.
+    /// The scalar reference convergence loop, the test oracle: one sample
+    /// per iteration, the whole run charged to the meter in one piece at the
+    /// end.
+    #[cfg(test)]
     fn converge_scalar(
         instance: &NblSatInstance,
         bindings: &PartialAssignment,
@@ -329,6 +333,53 @@ impl SampledEngine {
                 break;
             }
         }
+    }
+
+    /// The setup and result code of [`NblEngine::estimate_budgeted`] around
+    /// one convergence loop: the packed loop in production, and in tests
+    /// also the scalar oracle it must match bit for bit.
+    fn estimate_with(
+        &mut self,
+        instance: &NblSatInstance,
+        bindings: &PartialAssignment,
+        meter: &mut BudgetMeter,
+        converge: ConvergeLoop,
+    ) -> Result<MeanEstimate> {
+        meter.ensure_time()?;
+        meter.ensure_samples()?;
+        instance.validate_bindings(bindings)?;
+        let budget_cap = meter.remaining_samples().unwrap_or(u64::MAX);
+        let cap = self.config.max_samples.min(budget_cap);
+        let budget_clamped = budget_cap < self.config.max_samples;
+        let mut state = LoopState {
+            eval: self.evaluator(instance),
+            correlator: Correlator::new(),
+            tracker: ConvergenceTracker::new(
+                self.config.significant_digits,
+                self.config.check_interval,
+            ),
+            samples: 0,
+            converged: false,
+            timed_out: false,
+        };
+        converge(instance, bindings, cap, meter, &mut state);
+        if state.timed_out && !state.converged {
+            return Err(NblSatError::BudgetExhausted {
+                resource: ExhaustedResource::WallClock,
+            });
+        }
+        if budget_clamped && state.samples == cap && !state.converged {
+            return Err(NblSatError::BudgetExhausted {
+                resource: ExhaustedResource::Samples,
+            });
+        }
+        Ok(MeanEstimate {
+            mean: state.correlator.mean_product(),
+            std_error: state.correlator.std_error(),
+            samples: state.samples,
+            converged: state.converged,
+            exact: false,
+        })
     }
 
     /// Runs the simulation and records the running mean at the given sample
@@ -417,44 +468,7 @@ impl NblEngine for SampledEngine {
         bindings: &PartialAssignment,
         meter: &mut BudgetMeter,
     ) -> Result<MeanEstimate> {
-        meter.ensure_time()?;
-        meter.ensure_samples()?;
-        instance.validate_bindings(bindings)?;
-        let budget_cap = meter.remaining_samples().unwrap_or(u64::MAX);
-        let cap = self.config.max_samples.min(budget_cap);
-        let budget_clamped = budget_cap < self.config.max_samples;
-        let mut state = LoopState {
-            eval: self.evaluator(instance),
-            correlator: Correlator::new(),
-            tracker: ConvergenceTracker::new(
-                self.config.significant_digits,
-                self.config.check_interval,
-            ),
-            samples: 0,
-            converged: false,
-            timed_out: false,
-        };
-        match self.config.eval_mode {
-            EvalMode::Scalar => Self::converge_scalar(instance, bindings, cap, meter, &mut state),
-            EvalMode::Packed => Self::converge_packed(instance, bindings, cap, meter, &mut state),
-        }
-        if state.timed_out && !state.converged {
-            return Err(NblSatError::BudgetExhausted {
-                resource: ExhaustedResource::WallClock,
-            });
-        }
-        if budget_clamped && state.samples == cap && !state.converged {
-            return Err(NblSatError::BudgetExhausted {
-                resource: ExhaustedResource::Samples,
-            });
-        }
-        Ok(MeanEstimate {
-            mean: state.correlator.mean_product(),
-            std_error: state.correlator.std_error(),
-            samples: state.samples,
-            converged: state.converged,
-            exact: false,
-        })
+        self.estimate_with(instance, bindings, meter, Self::converge_packed)
     }
 
     fn name(&self) -> &'static str {
@@ -688,27 +702,54 @@ mod tests {
 
     #[test]
     fn packed_and_scalar_estimates_are_bit_identical() {
-        // The flattened SamplePlan preserves the scalar path's f64
-        // multiplication order exactly, so the two modes must agree on every
-        // bit of the estimate — mean, std error, sample count, convergence.
+        use crate::budget::Budget;
+        // The flattened SamplePlan preserves the scalar loop's f64
+        // multiplication order exactly, so the two loops must agree on every
+        // bit of the estimate (mean, std error, sample count, convergence)
+        // and on the samples charged: unbound, under every binding of the
+        // first one and two variables that model extraction walks through,
+        // and under a sample-clamped budget.
+        let budgets = [
+            Budget::unlimited(),
+            Budget::unlimited().with_max_samples(1_000),
+        ];
         for formula in [
             generators::example6_sat(),
             generators::example7_unsat(),
             generators::section4_sat_instance(),
+            generators::section4_unsat_instance(),
         ] {
             let inst = instance(&formula);
-            for bound in [false, true] {
-                let mut bindings = inst.empty_bindings();
-                if bound {
-                    bindings.assign(Variable::new(0), true);
+            let mut all_bindings = vec![inst.empty_bindings()];
+            for first in [false, true] {
+                let mut one = inst.empty_bindings();
+                one.assign(Variable::new(0), first);
+                // Example 7 has a single variable.
+                if inst.num_vars() > 1 {
+                    for second in [false, true] {
+                        let mut two = one.clone();
+                        two.assign(Variable::new(1), second);
+                        all_bindings.push(two);
+                    }
                 }
-                let mut scalar =
-                    SampledEngine::new(quick_config(9).with_eval_mode(cnf::EvalMode::Scalar));
-                let mut packed =
-                    SampledEngine::new(quick_config(9).with_eval_mode(cnf::EvalMode::Packed));
-                let es = scalar.estimate(&inst, &bindings).unwrap();
-                let ep = packed.estimate(&inst, &bindings).unwrap();
-                assert_eq!(es, ep, "modes diverged (bound={bound})");
+                all_bindings.push(one);
+            }
+            for seed in [0, 17] {
+                for (b, bindings) in all_bindings.iter().enumerate() {
+                    for budget in &budgets {
+                        let run = |converge: ConvergeLoop| {
+                            let mut meter = BudgetMeter::start(budget);
+                            let estimate = SampledEngine::new(quick_config(seed))
+                                .estimate_with(&inst, bindings, &mut meter, converge);
+                            (estimate, meter.samples_used())
+                        };
+                        assert_eq!(
+                            run(SampledEngine::converge_scalar),
+                            run(SampledEngine::converge_packed),
+                            "loops diverged on {formula} (seed {seed}, bindings {b}, {budget:?})"
+                        );
+                    }
+                }
             }
         }
     }
@@ -720,7 +761,7 @@ mod tests {
         // loop cares about beyond three full words plus an 8-lane tail; the
         // per-word charges must still add up to exactly 200.
         let inst = instance(&generators::section4_unsat_instance());
-        let mut engine = SampledEngine::new(quick_config(1).with_eval_mode(cnf::EvalMode::Packed));
+        let mut engine = SampledEngine::new(quick_config(1));
         let mut meter = BudgetMeter::start(&Budget::unlimited().with_max_samples(200));
         assert!(engine
             .estimate_budgeted(&inst, &inst.empty_bindings(), &mut meter)
@@ -728,7 +769,7 @@ mod tests {
         assert_eq!(meter.samples_used(), 200);
         // And when the engine converges early, only the drawn lanes of the
         // final word are charged.
-        let mut engine = SampledEngine::new(quick_config(1).with_eval_mode(cnf::EvalMode::Packed));
+        let mut engine = SampledEngine::new(quick_config(1));
         let mut meter = BudgetMeter::start(&Budget::unlimited().with_max_samples(10_000_000));
         let est = engine
             .estimate_budgeted(&inst, &inst.empty_bindings(), &mut meter)

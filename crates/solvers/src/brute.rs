@@ -3,7 +3,7 @@
 use crate::limits::SearchLimits;
 use crate::solver::{SolveResult, Solver, SolverStats};
 use cnf::bits::WORD_BITS;
-use cnf::{Assignment, AssignmentBlock, CnfFormula, EvalMode, PackedFormula};
+use cnf::{Assignment, AssignmentBlock, CnfFormula, PackedFormula};
 
 /// A brute-force solver that enumerates all `2^n` assignments.
 ///
@@ -25,7 +25,6 @@ pub struct BruteForceSolver {
     /// Refuse instances with more variables than this (guard against
     /// accidental exponential blow-up). Default: 24.
     max_vars: usize,
-    eval_mode: EvalMode,
 }
 
 impl BruteForceSolver {
@@ -34,7 +33,6 @@ impl BruteForceSolver {
         BruteForceSolver {
             stats: SolverStats::default(),
             max_vars: 24,
-            eval_mode: EvalMode::default(),
         }
     }
 
@@ -44,15 +42,14 @@ impl BruteForceSolver {
         self
     }
 
-    /// Selects the evaluation core (packed enumerates 64 minterms per word
-    /// op; scalar is the one-at-a-time reference). Results are identical.
-    pub fn with_eval_mode(mut self, eval_mode: EvalMode) -> Self {
-        self.eval_mode = eval_mode;
-        self
-    }
-
-    /// Scalar enumeration: one minterm at a time, in index order.
-    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
+    /// Scalar enumeration, the test oracle: one minterm at a time, in index
+    /// order.
+    #[cfg(test)]
+    pub(crate) fn solve_scalar(
+        &mut self,
+        formula: &CnfFormula,
+        limits: &SearchLimits,
+    ) -> SolveResult {
         for assignment in Assignment::enumerate_all(formula.num_vars()) {
             if limits.expired() {
                 return SolveResult::Unknown;
@@ -66,7 +63,8 @@ impl BruteForceSolver {
     }
 
     /// Packed enumeration: 64 minterms per block, still reporting the first
-    /// model in minterm order and the same `assignments_tried` totals.
+    /// model in minterm order and the same `assignments_tried` totals as the
+    /// scalar oracle.
     fn solve_packed(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
         let packed = PackedFormula::new(formula);
         let n = formula.num_vars();
@@ -104,10 +102,7 @@ impl Solver for BruteForceSolver {
             formula.num_vars()
         );
         self.stats = SolverStats::default();
-        match self.eval_mode {
-            EvalMode::Scalar => self.solve_scalar(formula, limits),
-            EvalMode::Packed => self.solve_packed(formula, limits),
-        }
+        self.solve_packed(formula, limits)
     }
 
     fn stats(&self) -> SolverStats {
@@ -165,28 +160,5 @@ mod tests {
         let f = cnf::CnfFormula::new(26);
         // 26 unconstrained variables is fine with a raised limit.
         assert!(BruteForceSolver::new().with_max_vars(26).solve(&f).is_sat());
-    }
-
-    #[test]
-    fn packed_and_scalar_enumeration_agree() {
-        use cnf::generators::RandomKSatConfig;
-        let mut formulas = vec![
-            generators::example6_sat(),
-            generators::example7_unsat(),
-            generators::section4_sat_instance(),
-            generators::section4_unsat_instance(),
-            cnf::CnfFormula::new(0),
-            // 7 vars spans two blocks of 64 minterms.
-            generators::random_ksat(&RandomKSatConfig::new(7, 30, 3).with_seed(4)).unwrap(),
-        ];
-        let mut with_empty = cnf::CnfFormula::new(2);
-        with_empty.push_clause(cnf::Clause::new());
-        formulas.push(with_empty);
-        for f in formulas {
-            let mut scalar = BruteForceSolver::new().with_eval_mode(EvalMode::Scalar);
-            let mut packed = BruteForceSolver::new().with_eval_mode(EvalMode::Packed);
-            assert_eq!(scalar.solve(&f), packed.solve(&f), "formula {f}");
-            assert_eq!(scalar.stats(), packed.stats(), "formula {f}");
-        }
     }
 }

@@ -1,10 +1,12 @@
 //! GSAT greedy local search.
 
 use crate::limits::SearchLimits;
-use crate::score::{self, FlipScorer};
+#[cfg(test)]
+use crate::score;
+use crate::score::FlipScorer;
 use crate::share::ShareHandle;
-use crate::solver::{SolveResult, Solver, SolverStats};
-use cnf::{Assignment, BitVector, CnfFormula, EvalMode, Variable};
+use crate::solver::{trivial_answer, SolveResult, Solver, SolverStats};
+use cnf::{Assignment, BitVector, CnfFormula, Variable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,9 +21,6 @@ pub struct GsatConfig {
     pub allow_sideways: bool,
     /// PRNG seed; the search is deterministic for a fixed seed.
     pub seed: u64,
-    /// Evaluation core: packed (all gains in one clause sweep) or the scalar
-    /// reference path. Both produce bit-identical searches.
-    pub eval_mode: EvalMode,
 }
 
 impl Default for GsatConfig {
@@ -31,7 +30,6 @@ impl Default for GsatConfig {
             max_restarts: 10,
             allow_sideways: true,
             seed: 0,
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -99,12 +97,19 @@ impl Gsat {
     }
 
     /// Net change in the number of satisfied clauses if `var` were flipped.
+    #[cfg(test)]
     fn flip_gain(formula: &CnfFormula, assignment: &Assignment, var: Variable) -> i64 {
         score::flip_gain(formula, assignment, var)
     }
 
-    /// The scalar reference search: gains recomputed one variable at a time.
-    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
+    /// The scalar reference search, the test oracle: gains recomputed one
+    /// variable at a time.
+    #[cfg(test)]
+    pub(crate) fn solve_scalar(
+        &mut self,
+        formula: &CnfFormula,
+        limits: &SearchLimits,
+    ) -> SolveResult {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut soft = CnfFormula::new(formula.num_vars());
         for _ in 0..self.config.max_restarts.max(1) {
@@ -230,18 +235,7 @@ impl Gsat {
 impl Solver for Gsat {
     fn solve_limited(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
         self.stats = SolverStats::default();
-        // An empty clause can never be satisfied, so even this incomplete
-        // solver may answer UNSAT definitively instead of giving up.
-        if formula.has_empty_clause() {
-            return SolveResult::Unsatisfiable;
-        }
-        if formula.num_vars() == 0 {
-            return SolveResult::Satisfiable(Assignment::from_bools(Vec::new()));
-        }
-        match self.config.eval_mode {
-            EvalMode::Scalar => self.solve_scalar(formula, limits),
-            EvalMode::Packed => self.solve_packed(formula, limits),
-        }
+        trivial_answer(formula).unwrap_or_else(|| self.solve_packed(formula, limits))
     }
 
     fn stats(&self) -> SolverStats {
@@ -268,6 +262,7 @@ impl Solver for Gsat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mode_differential::Search;
     use cnf::cnf_formula;
     use cnf::generators::{self, RandomKSatConfig};
 
@@ -340,7 +335,8 @@ mod tests {
     fn soft_imports_bias_but_never_decide() {
         use crate::share::{ShareHandle, SharedClausePool};
         use std::sync::Arc;
-        for mode in [EvalMode::Scalar, EvalMode::Packed] {
+        let searches: [Search<Gsat>; 2] = [Gsat::solve_scalar, Gsat::solve_packed];
+        for search in searches {
             for seed in 0..5 {
                 let formula = generators::random_ksat(
                     &RandomKSatConfig::from_ratio(12, 2.0, 3).with_seed(seed),
@@ -354,12 +350,11 @@ mod tests {
                     assert!(foreign.export(clause.literals(), 2));
                 }
                 let mut solver = Gsat::with_config(GsatConfig {
-                    eval_mode: mode,
                     seed: 7,
                     ..GsatConfig::default()
                 });
                 solver.attach_share(ShareHandle::new(Arc::clone(&pool), 0));
-                let result = solver.solve(&formula);
+                let result = search(&mut solver, &formula, &SearchLimits::unlimited());
                 assert!(solver.stats().clauses_imported > 0);
                 // Soft clauses only bias scoring: any SAT answer still
                 // carries a model of the *hard* formula.
@@ -376,19 +371,20 @@ mod tests {
         use std::sync::Arc;
         let formula =
             generators::random_ksat(&RandomKSatConfig::new(12, 40, 3).with_seed(7)).unwrap();
-        for mode in [EvalMode::Scalar, EvalMode::Packed] {
+        let limits = SearchLimits::unlimited();
+        let searches: [Search<Gsat>; 2] = [Gsat::solve_scalar, Gsat::solve_packed];
+        for search in searches {
             let config = GsatConfig {
-                eval_mode: mode,
                 seed: 11,
                 ..GsatConfig::default()
             };
             let mut baseline = Gsat::with_config(config);
-            let expected = baseline.solve(&formula);
+            let expected = search(&mut baseline, &formula, &limits);
             let mut cooperative = Gsat::with_config(config);
             let pool = Arc::new(SharedClausePool::default());
             cooperative.attach_share(ShareHandle::new(pool, 0));
             // Nothing to import: the search must be byte-identical.
-            assert_eq!(cooperative.solve(&formula), expected);
+            assert_eq!(search(&mut cooperative, &formula, &limits), expected);
             assert_eq!(cooperative.stats().clauses_imported, 0);
             assert_eq!(cooperative.stats().flips, baseline.stats().flips);
         }

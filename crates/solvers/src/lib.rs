@@ -52,6 +52,8 @@ pub mod cdcl;
 pub mod dpll;
 pub mod gsat;
 pub mod limits;
+#[cfg(test)]
+mod mode_differential;
 pub mod mus;
 pub mod parallel;
 pub mod portfolio;

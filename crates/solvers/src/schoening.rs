@@ -1,8 +1,8 @@
 //! Schöning's randomized k-SAT algorithm.
 
 use crate::limits::SearchLimits;
-use crate::solver::{SolveResult, Solver, SolverStats};
-use cnf::{Assignment, BitVector, CnfFormula, EvalMode, PackedFormula};
+use crate::solver::{trivial_answer, SolveResult, Solver, SolverStats};
+use cnf::{Assignment, BitVector, CnfFormula, PackedFormula};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -16,10 +16,6 @@ pub struct SchoeningConfig {
     pub walk_length_factor: u64,
     /// PRNG seed; the search is deterministic for a fixed seed.
     pub seed: u64,
-    /// Evaluation core: packed (64 variables per word in the unsatisfied
-    /// clause scan) or the scalar reference path. Both produce bit-identical
-    /// walks.
-    pub eval_mode: EvalMode,
 }
 
 impl Default for SchoeningConfig {
@@ -28,7 +24,6 @@ impl Default for SchoeningConfig {
             max_restarts: 200,
             walk_length_factor: 3,
             seed: 0,
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -70,8 +65,14 @@ impl Schoening {
         }
     }
 
-    /// The scalar reference walk: clause checks one literal at a time.
-    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
+    /// The scalar reference walk, the test oracle: clause checks one literal
+    /// at a time.
+    #[cfg(test)]
+    pub(crate) fn solve_scalar(
+        &mut self,
+        formula: &CnfFormula,
+        limits: &SearchLimits,
+    ) -> SolveResult {
         let n = formula.num_vars();
         let walk_length = (self.config.walk_length_factor.max(1)) * n as u64;
         let mut rng = StdRng::seed_from_u64(self.config.seed);
@@ -139,18 +140,7 @@ impl Schoening {
 impl Solver for Schoening {
     fn solve_limited(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
         self.stats = SolverStats::default();
-        // An empty clause can never be satisfied, so even this incomplete
-        // solver may answer UNSAT definitively instead of giving up.
-        if formula.has_empty_clause() {
-            return SolveResult::Unsatisfiable;
-        }
-        if formula.num_vars() == 0 {
-            return SolveResult::Satisfiable(Assignment::from_bools(Vec::new()));
-        }
-        match self.config.eval_mode {
-            EvalMode::Scalar => self.solve_scalar(formula, limits),
-            EvalMode::Packed => self.solve_packed(formula, limits),
-        }
+        trivial_answer(formula).unwrap_or_else(|| self.solve_packed(formula, limits))
     }
 
     fn stats(&self) -> SolverStats {
@@ -250,7 +240,6 @@ mod tests {
             max_restarts: 4,
             walk_length_factor: 3,
             seed: 1,
-            eval_mode: EvalMode::default(),
         });
         assert_eq!(solver.solve(&formula), SolveResult::Unknown);
         assert_eq!(solver.stats().flips, 4 * 3 * 6);

@@ -14,26 +14,40 @@
 //!
 //! # Pool design
 //!
-//! The pool is *sharded-lock*: exports land in `shards` independent
-//! `Mutex<VecDeque<_>>` segments selected round-robin by a global atomic
-//! epoch counter, so concurrent exporters rarely contend on the same lock
-//! and an import scan takes each shard lock only briefly. (A fully lock-free
-//! variant was benched against the sharded design in
-//! `baseline_comparison`'s `share_pool` group via the `shards = 1` coarse
-//! configuration as the degenerate baseline; the sharded layout won and is
-//! the default — see the bench for the methodology.) Every accepted clause
-//! is stamped with a unique, monotonically increasing epoch. Members track a
-//! private epoch cursor ([`ShareHandle`]), so one pool scan per restart
-//! imports exactly the clauses published since the member's previous scan —
-//! never its own exports, never a clause twice.
+//! The pool is one `Mutex` over an epoch-ordered `VecDeque` of clauses and
+//! the next publish stamp. An export stamps its clause and pushes it under
+//! the lock, and an import snapshots the stamp and scans under the same
+//! lock, so a scan sees every clause stamped before its snapshot. Members
+//! track a private epoch cursor ([`ShareHandle`]), so one pool scan per
+//! restart imports exactly the clauses published since the member's
+//! previous scan — never its own exports, never a clause twice, never one
+//! lost. The deque is sorted by epoch, so a scan starts at the cursor
+//! instead of walking the whole pool.
 //!
-//! Capacity is bounded with lazy eviction: only an export that overflows its
-//! shard evicts (oldest first), imports never shrink the pool.
+//! An earlier layout spread clauses over eight lock shards and stamped the
+//! epoch from an atomic counter *before* taking a shard lock. An import
+//! could then snapshot a later epoch, scan that shard before the push
+//! landed and move its cursor past the clause for good. Measured in a
+//! release build on 2 cores, with four members exporting 64 clauses each, a
+//! barrier and a settling import, over 600 rounds per layout run in
+//! alternating blocks of 50:
+//!
+//! | layout | p50 round | rounds that lost clauses |
+//! |---|---|---|
+//! | eight shards | 269 µs | 36 of 600 |
+//! | one shard, stamp outside the lock | 218 µs | 539 of 600 |
+//! | one lock (this pool) | 152 µs | 0 of 600 |
+//!
+//! The `share_pool/one_lock` record of the `baseline_comparison` bench
+//! tracks the pool's cost.
+//!
+//! Capacity is bounded with lazy eviction: only an export that overflows the
+//! pool evicts (oldest first), imports never shrink the pool.
 
 use cnf::Literal;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default maximum exported-clause length, in literals.
 pub const DEFAULT_MAX_SHARED_LEN: usize = 8;
@@ -41,11 +55,8 @@ pub const DEFAULT_MAX_SHARED_LEN: usize = 8;
 /// Default maximum literal-block distance (LBD) of an exported clause.
 pub const DEFAULT_MAX_SHARED_LBD: u32 = 6;
 
-/// Default pool capacity (clauses resident across all shards).
+/// Default pool capacity (clauses resident at once).
 pub const DEFAULT_POOL_CAPACITY: usize = 2048;
-
-/// Default shard count of the pool's lock array.
-pub const DEFAULT_POOL_SHARDS: usize = 8;
 
 /// Configuration of the cooperative clause-sharing layer of
 /// [`crate::ParallelPortfolio`]. Sharing is **on by default**; use
@@ -59,11 +70,9 @@ pub struct SharingConfig {
     /// Export filter: clauses with a larger literal-block distance (number
     /// of distinct decision levels at learn time) never enter the pool.
     pub max_lbd: u32,
-    /// Total clause capacity of the pool; the oldest clauses of an
-    /// overflowing shard are evicted lazily on export.
+    /// Clause capacity of the pool; the oldest clauses are evicted lazily
+    /// by the export that overflows it.
     pub capacity: usize,
-    /// Number of independent lock shards (1 = one coarse lock).
-    pub shards: usize,
 }
 
 impl Default for SharingConfig {
@@ -73,7 +82,6 @@ impl Default for SharingConfig {
             max_len: DEFAULT_MAX_SHARED_LEN,
             max_lbd: DEFAULT_MAX_SHARED_LBD,
             capacity: DEFAULT_POOL_CAPACITY,
-            shards: DEFAULT_POOL_SHARDS,
         }
     }
 }
@@ -109,12 +117,6 @@ impl SharingConfig {
         self.capacity = capacity.max(1);
         self
     }
-
-    /// Sets the shard count (1 = a single coarse lock).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
 }
 
 /// One clause resident in the pool.
@@ -141,7 +143,7 @@ pub struct PoolStats {
     pub imported: u64,
 }
 
-/// A bounded, sharded-lock clause pool shared by the members of a
+/// A bounded, single-lock clause pool shared by the members of a
 /// cooperative portfolio.
 ///
 /// See the [module docs](self) for the design. All methods take `&self`; the
@@ -165,15 +167,21 @@ pub struct PoolStats {
 #[derive(Debug)]
 pub struct SharedClausePool {
     config: SharingConfig,
-    /// The next publish stamp; doubles as the pool clock import cursors are
-    /// compared against.
-    epoch: AtomicU64,
-    shards: Vec<Mutex<VecDeque<PooledClause>>>,
-    per_shard_capacity: usize,
-    exported: AtomicU64,
+    state: Mutex<PoolState>,
+    /// Filter rejections take no lock.
     rejected: AtomicU64,
-    evicted: AtomicU64,
-    imported: AtomicU64,
+}
+
+/// Everything the pool's one lock guards.
+#[derive(Debug, Default)]
+struct PoolState {
+    /// Resident clauses in ascending epoch order.
+    clauses: VecDeque<PooledClause>,
+    /// The next publish stamp, which is also the number of clauses ever
+    /// accepted; import cursors are compared against it.
+    next_epoch: u64,
+    evicted: u64,
+    imported: u64,
 }
 
 impl Default for SharedClausePool {
@@ -185,25 +193,20 @@ impl Default for SharedClausePool {
 impl SharedClausePool {
     /// Creates an empty pool with the given configuration.
     pub fn new(config: SharingConfig) -> Self {
-        let shard_count = config.shards.max(1);
-        let per_shard_capacity = (config.capacity.max(1)).div_ceil(shard_count);
         SharedClausePool {
             config,
-            epoch: AtomicU64::new(0),
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            per_shard_capacity,
-            exported: AtomicU64::new(0),
+            state: Mutex::new(PoolState::default()),
             rejected: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            imported: AtomicU64::new(0),
         }
     }
 
     /// The pool's configuration.
     pub fn config(&self) -> &SharingConfig {
         &self.config
+    }
+
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Offers a clause to the pool on behalf of `member`. Returns `true` when
@@ -214,21 +217,20 @@ impl SharedClausePool {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[(epoch % self.shards.len() as u64) as usize];
-        let mut clauses = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        clauses.push_back(PooledClause {
+        let literals = literals.to_vec();
+        let mut state = self.lock();
+        let epoch = state.next_epoch;
+        state.next_epoch += 1;
+        state.clauses.push_back(PooledClause {
             epoch,
             source: member,
-            literals: literals.to_vec(),
+            literals,
         });
-        // Lazy eviction: only the exporting call trims its own shard.
-        while clauses.len() > self.per_shard_capacity {
-            clauses.pop_front();
-            self.evicted.fetch_add(1, Ordering::Relaxed);
+        // Lazy eviction: only an overflowing export trims the pool.
+        while state.clauses.len() > self.config.capacity.max(1) {
+            state.clauses.pop_front();
+            state.evicted += 1;
         }
-        drop(clauses);
-        self.exported.fetch_add(1, Ordering::Relaxed);
         true
     }
 
@@ -236,37 +238,27 @@ impl SharedClausePool {
     /// `member`, advancing the cursor. Returns the number of delivered
     /// clauses.
     ///
-    /// Clauses stamped at or after the scan's snapshot epoch (i.e. published
-    /// concurrently with the scan) are left for the next call, which is what
-    /// makes "each clause at most once per member" hold under concurrency.
+    /// The scan and the cursor snapshot happen under the lock every export
+    /// stamps under, so a clause is delivered to each foreign member exactly
+    /// once unless it is evicted first.
     pub fn import(&self, member: usize, cursor: &mut u64, mut sink: impl FnMut(&[Literal])) -> u64 {
-        let snapshot = self.epoch.load(Ordering::Relaxed);
-        if snapshot <= *cursor {
-            return 0;
-        }
+        let mut state = self.lock();
+        let start = state.clauses.partition_point(|c| c.epoch < *cursor);
         let mut delivered = 0u64;
-        for shard in &self.shards {
-            let clauses = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for clause in clauses.iter() {
-                if clause.epoch >= *cursor && clause.epoch < snapshot && clause.source != member {
-                    sink(&clause.literals);
-                    delivered += 1;
-                }
+        for clause in state.clauses.range(start..) {
+            if clause.source != member {
+                sink(&clause.literals);
+                delivered += 1;
             }
         }
-        *cursor = snapshot;
-        if delivered > 0 {
-            self.imported.fetch_add(delivered, Ordering::Relaxed);
-        }
+        *cursor = state.next_epoch;
+        state.imported += delivered;
         delivered
     }
 
-    /// Number of clauses currently resident across all shards.
+    /// Number of clauses currently resident.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| shard.lock().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.lock().clauses.len()
     }
 
     /// `true` when no clause is resident.
@@ -276,11 +268,12 @@ impl SharedClausePool {
 
     /// Lifetime traffic counters.
     pub fn stats(&self) -> PoolStats {
+        let state = self.lock();
         PoolStats {
-            exported: self.exported.load(Ordering::Relaxed),
+            exported: state.next_epoch,
             rejected: self.rejected.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            imported: self.imported.load(Ordering::Relaxed),
+            evicted: state.evicted,
+            imported: state.imported,
         }
     }
 }
@@ -376,29 +369,66 @@ mod tests {
 
     #[test]
     fn capacity_is_bounded_with_oldest_first_eviction() {
-        let pool = SharedClausePool::new(SharingConfig::new().with_capacity(4).with_shards(2));
+        let pool = SharedClausePool::new(SharingConfig::new().with_capacity(4));
         for i in 1..=20 {
             assert!(pool.export(0, &[lit(i)], 1));
         }
-        assert!(pool.len() <= 4);
+        assert_eq!(pool.len(), 4);
         let stats = pool.stats();
         assert_eq!(stats.exported, 20);
-        assert_eq!(stats.evicted as usize, 20 - pool.len());
+        assert_eq!(stats.evicted, 16);
         // Survivors are the most recently exported clauses.
         let mut cursor = 0;
         let mut survivors = Vec::new();
-        pool.import(1, &mut cursor, |c| survivors.push(c[0]));
-        assert!(survivors.iter().all(|l| l.to_dimacs() > 12));
+        pool.import(1, &mut cursor, |c| survivors.push(c[0].to_dimacs()));
+        assert_eq!(survivors, vec![17, 18, 19, 20]);
     }
 
     #[test]
-    fn single_shard_degenerates_to_a_coarse_lock() {
-        let pool = SharedClausePool::new(SharingConfig::new().with_shards(1).with_capacity(2));
-        for i in 1..=5 {
-            pool.export(0, &[lit(i)], 1);
+    fn contended_rounds_deliver_every_clause_exactly_once() {
+        // An import racing the exports must never move its cursor past a
+        // clause it has not delivered: after the barrier, the settling
+        // import completes every member's set, and no clause arrives twice.
+        const MEMBERS: usize = 4;
+        const PER_MEMBER: usize = 64;
+        for round in 0..100 {
+            let pool = Arc::new(SharedClausePool::default());
+            let barrier = std::sync::Barrier::new(MEMBERS);
+            let seen: Vec<Vec<u32>> = thread::scope(|scope| {
+                let handles: Vec<_> = (0..MEMBERS)
+                    .map(|member| {
+                        let mut handle = ShareHandle::new(Arc::clone(&pool), member);
+                        let barrier = &barrier;
+                        scope.spawn(move || {
+                            let mut seen = vec![0u32; MEMBERS * PER_MEMBER];
+                            let mut record = |lits: &[Literal]| {
+                                seen[lits[0].to_dimacs() as usize - 1] += 1;
+                            };
+                            for i in 0..PER_MEMBER {
+                                let tag = member * PER_MEMBER + i + 1;
+                                assert!(handle.export(&[lit(tag as i64)], 1));
+                                handle.import(&mut record);
+                            }
+                            barrier.wait();
+                            handle.import(&mut record);
+                            seen
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (member, counts) in seen.iter().enumerate() {
+                for (tag, &count) in counts.iter().enumerate() {
+                    let expected = u32::from(tag / PER_MEMBER != member);
+                    assert_eq!(
+                        count,
+                        expected,
+                        "round {round}: member {member} got clause {} {count} times",
+                        tag + 1
+                    );
+                }
+            }
         }
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool.stats().evicted, 3);
     }
 
     #[test]

@@ -101,6 +101,20 @@ impl fmt::Display for SolverStats {
     }
 }
 
+/// The verdicts the incomplete local-search solvers give without searching.
+/// An empty clause can never be satisfied, so even they may answer UNSAT
+/// definitively; a formula over no variables is satisfied by the empty
+/// model.
+pub(crate) fn trivial_answer(formula: &CnfFormula) -> Option<SolveResult> {
+    if formula.has_empty_clause() {
+        Some(SolveResult::Unsatisfiable)
+    } else if formula.num_vars() == 0 {
+        Some(SolveResult::Satisfiable(Assignment::from_bools(Vec::new())))
+    } else {
+        None
+    }
+}
+
 /// A SAT solver.
 ///
 /// Implementations must leave the formula untouched and report their own

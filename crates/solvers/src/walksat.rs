@@ -3,8 +3,8 @@
 use crate::limits::SearchLimits;
 use crate::score::{self, FlipScorer};
 use crate::share::ShareHandle;
-use crate::solver::{SolveResult, Solver, SolverStats};
-use cnf::{Assignment, BitVector, CnfFormula, EvalMode, Variable};
+use crate::solver::{trivial_answer, SolveResult, Solver, SolverStats};
+use cnf::{Assignment, BitVector, CnfFormula, Variable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -19,9 +19,6 @@ pub struct WalkSatConfig {
     pub max_restarts: u64,
     /// PRNG seed (the search is deterministic for a fixed seed).
     pub seed: u64,
-    /// Evaluation core: packed (64 candidate flips per word) or the scalar
-    /// reference path. Both produce bit-identical searches.
-    pub eval_mode: EvalMode,
 }
 
 impl Default for WalkSatConfig {
@@ -31,7 +28,6 @@ impl Default for WalkSatConfig {
             max_flips: 10_000,
             max_restarts: 10,
             seed: 0,
-            eval_mode: EvalMode::default(),
         }
     }
 }
@@ -100,9 +96,14 @@ impl WalkSat {
         score::break_count(formula, assignment, var)
     }
 
-    /// The scalar reference search: one assignment and one candidate flip at
-    /// a time over `Vec<bool>` structures.
-    fn solve_scalar(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
+    /// The scalar reference search, the test oracle: one assignment and one
+    /// candidate flip at a time over `Vec<bool>` structures.
+    #[cfg(test)]
+    pub(crate) fn solve_scalar(
+        &mut self,
+        formula: &CnfFormula,
+        limits: &SearchLimits,
+    ) -> SolveResult {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut soft = CnfFormula::new(formula.num_vars());
         for _ in 0..self.config.max_restarts.max(1) {
@@ -244,18 +245,7 @@ impl WalkSat {
 impl Solver for WalkSat {
     fn solve_limited(&mut self, formula: &CnfFormula, limits: &SearchLimits) -> SolveResult {
         self.stats = SolverStats::default();
-        // An empty clause can never be satisfied, so even this incomplete
-        // solver may answer UNSAT definitively instead of giving up.
-        if formula.has_empty_clause() {
-            return SolveResult::Unsatisfiable;
-        }
-        if formula.num_vars() == 0 {
-            return SolveResult::Satisfiable(Assignment::from_bools(Vec::new()));
-        }
-        match self.config.eval_mode {
-            EvalMode::Scalar => self.solve_scalar(formula, limits),
-            EvalMode::Packed => self.solve_packed(formula, limits),
-        }
+        trivial_answer(formula).unwrap_or_else(|| self.solve_packed(formula, limits))
     }
 
     fn stats(&self) -> SolverStats {
@@ -282,6 +272,7 @@ impl Solver for WalkSat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mode_differential::Search;
     use cnf::cnf_formula;
     use cnf::generators::{self, RandomKSatConfig};
 
@@ -379,7 +370,8 @@ mod tests {
     fn soft_imports_bias_but_never_decide() {
         use crate::share::{ShareHandle, SharedClausePool};
         use std::sync::Arc;
-        for mode in [EvalMode::Scalar, EvalMode::Packed] {
+        let searches: [Search<WalkSat>; 2] = [WalkSat::solve_scalar, WalkSat::solve_packed];
+        for search in searches {
             for seed in 0..5 {
                 let f = generators::random_ksat(
                     &RandomKSatConfig::from_ratio(12, 2.0, 3).with_seed(seed),
@@ -393,12 +385,11 @@ mod tests {
                     assert!(foreign.export(clause.literals(), 2));
                 }
                 let mut solver = WalkSat::with_config(WalkSatConfig {
-                    eval_mode: mode,
                     seed: 7,
                     ..WalkSatConfig::default()
                 });
                 solver.attach_share(ShareHandle::new(Arc::clone(&pool), 0));
-                let result = solver.solve(&f);
+                let result = search(&mut solver, &f, &SearchLimits::unlimited());
                 assert!(solver.stats().clauses_imported > 0);
                 // Soft clauses only bias scoring: any SAT answer still
                 // carries a model of the *hard* formula.
@@ -414,19 +405,20 @@ mod tests {
         use crate::share::{ShareHandle, SharedClausePool};
         use std::sync::Arc;
         let f = generators::random_ksat(&RandomKSatConfig::new(12, 40, 3).with_seed(3)).unwrap();
-        for mode in [EvalMode::Scalar, EvalMode::Packed] {
+        let limits = SearchLimits::unlimited();
+        let searches: [Search<WalkSat>; 2] = [WalkSat::solve_scalar, WalkSat::solve_packed];
+        for search in searches {
             let config = WalkSatConfig {
-                eval_mode: mode,
                 seed: 11,
                 ..WalkSatConfig::default()
             };
             let mut baseline = WalkSat::with_config(config);
-            let expected = baseline.solve(&f);
+            let expected = search(&mut baseline, &f, &limits);
             let mut cooperative = WalkSat::with_config(config);
             let pool = Arc::new(SharedClausePool::default());
             cooperative.attach_share(ShareHandle::new(pool, 0));
             // Nothing to import: the search must be byte-identical.
-            assert_eq!(cooperative.solve(&f), expected);
+            assert_eq!(search(&mut cooperative, &f, &limits), expected);
             assert_eq!(cooperative.stats().clauses_imported, 0);
             assert_eq!(cooperative.stats().flips, baseline.stats().flips);
         }

@@ -76,21 +76,17 @@ proptest! {
     }
 
     /// Residency contract: under any export stream the pool holds at most
-    /// `ceil(capacity / shards) * shards` clauses (the sharded rounding of
-    /// the configured capacity), and the books balance — accepted exports
-    /// minus evictions equals the resident count.
+    /// `capacity` clauses, and the books balance — accepted exports minus
+    /// evictions equals the resident count.
     #[test]
     fn capacity_and_eviction_books_balance(
-        (capacity, shards, exports) in (1usize..48, 1usize..6, 1usize..200)
+        (capacity, exports) in (1usize..48, 1usize..200)
     ) {
-        let pool = SharedClausePool::new(
-            SharingConfig::new().with_capacity(capacity).with_shards(shards),
-        );
+        let pool = SharedClausePool::new(SharingConfig::new().with_capacity(capacity));
         for i in 0..exports {
             prop_assert!(pool.export(i % 3, &[lit(1 + i as i64)], 1));
         }
-        let bound = capacity.div_ceil(shards) * shards;
-        prop_assert!(pool.len() <= bound, "{} resident > bound {}", pool.len(), bound);
+        prop_assert!(pool.len() <= capacity, "{} resident > capacity {}", pool.len(), capacity);
         let stats = pool.stats();
         prop_assert_eq!(stats.exported as usize, exports);
         prop_assert_eq!(stats.exported - stats.evicted, pool.len() as u64);

@@ -2,17 +2,15 @@
 //!
 //! The contract under test: for any formula F and assumption literals A,
 //! `CdclSolver::solve_under_assumptions(A)` must agree with solving
-//! `F ∧ (unit clauses for A)` from scratch — verified against the
-//! brute-force oracle in **both** evaluation modes (scalar and 64-way
-//! bit-packed). On UNSAT the failed-assumption core must be a subset of A
+//! `F ∧ (unit clauses for A)` from scratch — verified against two
+//! independent oracles: the 64-way bit-packed brute-force solver and a plain
+//! enumeration through the scalar `CnfFormula::evaluate`. On UNSAT the failed-assumption core must be a subset of A
 //! that is already unsatisfiable together with F; on SAT the model must
 //! satisfy F and every assumption. Learned clauses carried across calls must
 //! never flip a later verdict.
 
 use nbl_sat_repro::prelude::*;
 use proptest::prelude::*;
-
-use cnf::EvalMode;
 
 /// Strategy: a random CNF formula with `1..=max_vars` variables and
 /// `1..=max_clauses` clauses of 1–3 literals, plus `0..=4` assumption
@@ -52,24 +50,26 @@ fn with_units(formula: &CnfFormula, assumptions: &[Literal]) -> CnfFormula {
     augmented
 }
 
-fn brute_is_sat(formula: &CnfFormula, mode: EvalMode) -> bool {
-    BruteForceSolver::new()
-        .with_eval_mode(mode)
-        .solve(formula)
-        .is_sat()
+/// The packed brute-force solver's verdict.
+fn brute_is_sat(formula: &CnfFormula) -> bool {
+    BruteForceSolver::new().solve(formula).is_sat()
+}
+
+/// The scalar oracle: every assignment through `CnfFormula::evaluate`.
+fn enumerate_is_sat(formula: &CnfFormula) -> bool {
+    Assignment::enumerate_all(formula.num_vars()).any(|a| formula.evaluate(&a))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `solve_under_assumptions(A)` agrees with `F ∧ units(A)` in both
-    /// evaluation modes; SAT models verify, UNSAT cores refute.
+    /// `solve_under_assumptions(A)` agrees with `F ∧ units(A)` under both
+    /// oracles; SAT models verify, UNSAT cores refute.
     #[test]
     fn assumption_solve_matches_unit_clause_oracle((formula, assumptions) in arb_instance(6, 8)) {
         let oracle = with_units(&formula, &assumptions);
-        let scalar = brute_is_sat(&oracle, EvalMode::Scalar);
-        let packed = brute_is_sat(&oracle, EvalMode::Packed);
-        prop_assert_eq!(scalar, packed);
+        let scalar = enumerate_is_sat(&oracle);
+        prop_assert_eq!(scalar, brute_is_sat(&oracle));
 
         let mut solver = CdclSolver::new();
         solver.push(&formula);
@@ -87,10 +87,10 @@ proptest! {
                 for lit in &core {
                     prop_assert!(assumptions.contains(lit), "core literal {lit} never assumed");
                 }
-                // …already unsatisfiable with the formula, in both modes.
+                // …already unsatisfiable with the formula, under both oracles.
                 let refuted = with_units(&formula, &core);
-                prop_assert!(!brute_is_sat(&refuted, EvalMode::Scalar));
-                prop_assert!(!brute_is_sat(&refuted, EvalMode::Packed));
+                prop_assert!(!enumerate_is_sat(&refuted));
+                prop_assert!(!brute_is_sat(&refuted));
             }
             IncrementalResult::Unknown => {
                 prop_assert!(false, "unlimited search returned Unknown");
@@ -102,7 +102,7 @@ proptest! {
     /// clauses and saved phases carried over must never flip an answer.
     #[test]
     fn repeated_assumption_solves_are_stable((formula, assumptions) in arb_instance(6, 8)) {
-        let oracle = brute_is_sat(&with_units(&formula, &assumptions), EvalMode::Packed);
+        let oracle = brute_is_sat(&with_units(&formula, &assumptions));
         let mut solver = CdclSolver::new();
         solver.push(&formula);
         let limits = SearchLimits::unlimited();
